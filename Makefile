@@ -117,7 +117,8 @@ bench:
 # is the newest committed BENCH_*.json; the date-stamped names sort
 # chronologically, so lexical max == latest. `make bench-json` records a
 # new baseline; `make bench-check` replays the same scenarios (best of 3)
-# and fails if any scenario's events/sec regressed more than 15%.
+# and fails if any scenario's events/sec regressed more than 15%, or any
+# serial scenario's allocs/op grew more than 2%.
 BENCH_BASELINE ?= $(lastword $(sort $(wildcard BENCH_*.json)))
 
 bench-json:

@@ -2,8 +2,9 @@
 // scenarios, measures simulator throughput (not the simulated system's
 // performance), and emits a machine-readable BENCH_<date>.json. With
 // -bench-baseline it additionally compares against a committed baseline
-// and exits non-zero on a >15% events/sec regression on any scenario —
-// the CI gate that keeps the event hot path from quietly slowing down.
+// and exits non-zero on a >15% events/sec regression on any scenario, or
+// on a >2% allocs/op increase on any serial scenario — the CI gates that
+// keep the event hot path from quietly slowing down.
 //
 // Methodology: each scenario is one complete camps.Run (warmup + measured
 // region). It runs -bench-count times and the best run (highest events/sec)
@@ -32,6 +33,13 @@ const benchSchema = 1
 // regressionTolerance is the fractional events/sec loss versus the
 // baseline that fails the gate.
 const regressionTolerance = 0.15
+
+// allocTolerance is the fractional allocs/op growth versus the baseline
+// that fails the gate on a serial scenario. A serial run's allocation
+// count is a property of the code, not the host (two machines measured
+// 280,787 and 280,785 on the default scenario), so the bound is tight.
+// Sharded runs are exempt: their allocations follow goroutine scheduling.
+const allocTolerance = 0.02
 
 // benchScenario is one named measurement configuration. The set spans the
 // simulator's distinct hot-path mixes: the default CAMPS-MOD system, the
@@ -187,8 +195,9 @@ func benchOne(sc benchScenario, count int, seed uint64) (benchResult, error) {
 }
 
 // compareBaseline checks every scenario present in both files against the
-// regression tolerance. Missing or extra scenarios are reported but do not
-// fail the gate (they appear when the scenario set evolves).
+// events/sec and allocs/op tolerances. Missing or extra scenarios are
+// reported but do not fail the gate (they appear when the scenario set
+// evolves).
 func compareBaseline(cur benchFile, path string) bool {
 	buf, err := os.ReadFile(path)
 	if err != nil {
@@ -204,7 +213,7 @@ func compareBaseline(cur benchFile, path string) bool {
 	for _, r := range base.Scenarios {
 		byName[r.Name] = r
 	}
-	ok := true
+	slow, fat := false, false
 	for _, r := range cur.Scenarios {
 		b, found := byName[r.Name]
 		if !found {
@@ -212,17 +221,29 @@ func compareBaseline(cur benchFile, path string) bool {
 			continue
 		}
 		ratio := r.EventsPerSec / b.EventsPerSec
+		allocRatio := float64(r.Allocs) / float64(max(b.Allocs, 1))
+		rowSlow := ratio < 1-regressionTolerance
+		rowFat := r.Workers <= 1 && allocRatio > 1+allocTolerance
 		verdict := "ok"
-		if ratio < 1-regressionTolerance {
+		switch {
+		case rowSlow && rowFat:
+			verdict = "REGRESSION+ALLOCS"
+		case rowSlow:
 			verdict = "REGRESSION"
-			ok = false
+		case rowFat:
+			verdict = "ALLOC-REGRESSION"
 		}
-		fmt.Printf("%-12s baseline %12.0f ev/s  now %12.0f ev/s  %+6.1f%%  %s\n",
-			r.Name, b.EventsPerSec, r.EventsPerSec, (ratio-1)*100, verdict)
+		slow, fat = slow || rowSlow, fat || rowFat
+		fmt.Printf("%-12s baseline %12.0f ev/s  now %12.0f ev/s  %+6.1f%%  allocs %6.3fx  %s\n",
+			r.Name, b.EventsPerSec, r.EventsPerSec, (ratio-1)*100, allocRatio, verdict)
 	}
-	if !ok {
+	if slow {
 		fmt.Fprintf(os.Stderr, "campbench: events/sec regressed more than %.0f%% against %s\n",
 			regressionTolerance*100, path)
 	}
-	return ok
+	if fat {
+		fmt.Fprintf(os.Stderr, "campbench: serial allocs/op grew more than %.0f%% against %s\n",
+			allocTolerance*100, path)
+	}
+	return !slow && !fat
 }

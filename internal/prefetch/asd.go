@@ -55,7 +55,7 @@ func newASD(ctx Context) *asdEngine {
 // 2 = plus its successor).
 func (e *asdEngine) Depth() int { return e.depth }
 
-func (e *asdEngine) OnDemandServed(req Request, state dram.RowState, _ int64) []Fetch {
+func (e *asdEngine) OnDemandServed(dst []Fetch, req Request, state dram.RowState, _ int64) []Fetch {
 	b := req.Bank
 	if state != dram.RowHit || e.lastRow[b] != req.Row {
 		// New episode: close the previous one into the histogram.
@@ -64,7 +64,7 @@ func (e *asdEngine) OnDemandServed(req Request, state dram.RowState, _ int64) []
 		e.lastLine[b] = req.Line
 		e.ascending[b] = 0
 		e.epLen[b] = 1
-		return nil
+		return dst
 	}
 	e.epLen[b]++
 	if req.Line > e.lastLine[b] {
@@ -74,19 +74,19 @@ func (e *asdEngine) OnDemandServed(req Request, state dram.RowState, _ int64) []
 	}
 	e.lastLine[b] = req.Line
 	if e.ascending[b] != asdConfirm {
-		return nil
+		return dst
 	}
 	// Stream confirmed: copy the row (leave it open — ASD is not
 	// conflict-aware) and, at depth 2, its successor.
-	fetches := []Fetch{{Bank: b, Row: req.Row, CloseAfter: false,
-		Touched: 1 << uint(req.Line)}}
+	dst = append(dst, Fetch{Bank: b, Row: req.Row, CloseAfter: false,
+		Touched: 1 << uint(req.Line)})
 	if e.depth >= 2 {
 		next := req.Row + 1
 		if e.ctx.RowsPerBank == 0 || next < e.ctx.RowsPerBank {
-			fetches = append(fetches, Fetch{Bank: b, Row: next, CloseAfter: true})
+			dst = append(dst, Fetch{Bank: b, Row: next, CloseAfter: true})
 		}
 	}
-	return fetches
+	return dst
 }
 
 // closeEpisode records a finished row episode and adapts depth each epoch.

@@ -16,9 +16,9 @@ type baseEngine struct {
 
 func newBase(ctx Context) *baseEngine { return &baseEngine{ctx: ctx} }
 
-func (e *baseEngine) OnDemandServed(req Request, _ dram.RowState, _ int64) []Fetch {
-	return []Fetch{{Bank: req.Bank, Row: req.Row, CloseAfter: true,
-		Touched: 1 << uint(req.Line)}}
+func (e *baseEngine) OnDemandServed(dst []Fetch, req Request, _ dram.RowState, _ int64) []Fetch {
+	return append(dst, Fetch{Bank: req.Bank, Row: req.Row, CloseAfter: true,
+		Touched: 1 << uint(req.Line)})
 }
 
 func (e *baseEngine) OnBufferHit(Request) {}
@@ -35,18 +35,18 @@ type baseHitEngine struct {
 
 func newBaseHit(ctx Context) *baseHitEngine { return &baseHitEngine{ctx: ctx} }
 
-func (e *baseHitEngine) OnDemandServed(req Request, _ dram.RowState, _ int64) []Fetch {
+func (e *baseHitEngine) OnDemandServed(dst []Fetch, req Request, _ dram.RowState, _ int64) []Fetch {
 	if e.ctx.Queue == nil {
-		return nil
+		return dst
 	}
 	if e.ctx.Queue.PendingReadsForRow(req.Bank, req.Row) >= 2 {
 		// Copy but keep the row open: BASE-HIT follows the normal
 		// open-page policy, so row-buffer conflicts remain (it is the
 		// scheme with the most conflicts in the paper's Figure 6).
-		return []Fetch{{Bank: req.Bank, Row: req.Row, CloseAfter: false,
-			Touched: 1 << uint(req.Line)}}
+		return append(dst, Fetch{Bank: req.Bank, Row: req.Row, CloseAfter: false,
+			Touched: 1 << uint(req.Line)})
 	}
-	return nil
+	return dst
 }
 
 func (e *baseHitEngine) OnBufferHit(Request) {}

@@ -45,9 +45,9 @@ func (e *boEngine) rrIndex(k int64) int {
 	return int(mix64(uint64(k)) & uint64(len(e.rr)-1))
 }
 
-func (e *boEngine) OnDemandServed(req Request, state dram.RowState, _ int64) []Fetch {
+func (e *boEngine) OnDemandServed(dst []Fetch, req Request, state dram.RowState, _ int64) []Fetch {
 	if state == dram.RowHit {
-		return nil // activations only
+		return dst // activations only
 	}
 	// Learning: test one offset per trigger, round-robin.
 	o := boOffsets[e.test]
@@ -70,13 +70,13 @@ func (e *boEngine) OnDemandServed(req Request, state dram.RowState, _ int64) []F
 	e.rr[e.rrIndex(key)] = key
 
 	if e.best == 0 {
-		return nil
+		return dst
 	}
 	row := req.Row + e.best
 	if e.ctx.RowsPerBank > 0 && row >= e.ctx.RowsPerBank {
-		return nil
+		return dst
 	}
-	return []Fetch{{Bank: req.Bank, Row: row, CloseAfter: true}}
+	return append(dst, Fetch{Bank: req.Bank, Row: row, CloseAfter: true})
 }
 
 // endPhase elects the new offset and starts a fresh scoring phase.

@@ -38,16 +38,16 @@ func newCAMPS(cfg config.CAMPS, ctx Context) *campsEngine {
 	}
 }
 
-func (e *campsEngine) OnDemandServed(req Request, state dram.RowState, displacedRow int64) []Fetch {
+func (e *campsEngine) OnDemandServed(dst []Fetch, req Request, state dram.RowState, displacedRow int64) []Fetch {
 	switch state {
 	case dram.RowHit:
 		util := e.rut.Track(req.Bank, req.Row, req.Line)
 		if util >= e.threshold {
 			touched := e.rut.Bitmap(req.Bank)
 			e.rut.Clear(req.Bank)
-			return []Fetch{{Bank: req.Bank, Row: req.Row, CloseAfter: true, Touched: touched}}
+			return append(dst, Fetch{Bank: req.Bank, Row: req.Row, CloseAfter: true, Touched: touched})
 		}
-		return nil
+		return dst
 
 	case dram.RowConflict:
 		// The open row was displaced to serve this request: its RUT entry
@@ -59,31 +59,31 @@ func (e *campsEngine) OnDemandServed(req Request, state dram.RowState, displaced
 			// opened by a writeback); it still conflicted.
 			e.ct.Insert(req.Bank, displacedRow, 0)
 		}
-		return e.onNewRow(req)
+		return e.onNewRow(dst, req)
 
 	default: // dram.RowMiss
-		return e.onNewRow(req)
+		return e.onNewRow(dst, req)
 	}
 }
 
 // onNewRow handles a row that was just activated for this request.
-func (e *campsEngine) onNewRow(req Request) []Fetch {
+func (e *campsEngine) onNewRow(dst []Fetch, req Request) []Fetch {
 	if touched, ok := e.ct.Remove(req.Bank, req.Row); ok {
 		// Recently displaced and accessed again: conflict-prone. Fetch it
 		// whole and precharge; do not profile it further. The lines it
 		// accumulated before displacement seed the buffer entry's
 		// utilization, per the CT's stored row-utilization information.
-		return []Fetch{{Bank: req.Bank, Row: req.Row, CloseAfter: true,
-			Touched: touched | 1<<uint(req.Line)}}
+		return append(dst, Fetch{Bank: req.Bank, Row: req.Row, CloseAfter: true,
+			Touched: touched | 1<<uint(req.Line)})
 	}
 	util := e.rut.Track(req.Bank, req.Row, req.Line)
 	if util >= e.threshold {
 		// Degenerate configuration (threshold 1): fetch immediately.
 		touched := e.rut.Bitmap(req.Bank)
 		e.rut.Clear(req.Bank)
-		return []Fetch{{Bank: req.Bank, Row: req.Row, CloseAfter: true, Touched: touched}}
+		return append(dst, Fetch{Bank: req.Bank, Row: req.Row, CloseAfter: true, Touched: touched})
 	}
-	return nil
+	return dst
 }
 
 func (e *campsEngine) OnBufferHit(Request) {}

@@ -26,51 +26,90 @@ func (r *confStream) next() uint64 {
 	return r.s * 0x2545f4914f6cdd1d
 }
 
+// request draws one demand access within the vault's geometry. Three in
+// four target one of a bank's four hot rows, so the row-local engines
+// (MMD, ASD, the RUT) see repeated touches; the rest spread over every
+// row, so the history tables fill and evict.
+func (r *confStream) request(ctx Context) Request {
+	req := Request{
+		Bank:  int(r.next() % uint64(ctx.Banks)),
+		Row:   int64(r.next() % uint64(ctx.RowsPerBank)),
+		Line:  int(r.next() % uint64(ctx.LinesPerRow)),
+		Write: r.next()%8 == 0,
+	}
+	if r.next()%4 != 0 {
+		req.Row %= 4
+	}
+	return req
+}
+
+// outcome draws a row-buffer outcome (hits twice as likely as a miss or a
+// conflict) and, for a conflict, the displaced row.
+func (r *confStream) outcome(ctx Context) (dram.RowState, int64) {
+	states := [...]dram.RowState{dram.RowHit, dram.RowHit, dram.RowMiss, dram.RowConflict}
+	st := states[r.next()%4]
+	displaced := dram.NoRow
+	if st == dram.RowConflict {
+		displaced = int64(r.next() % uint64(ctx.RowsPerBank))
+	}
+	return st, displaced
+}
+
+// eviction draws an eviction of req's row, which the engine may never
+// have fetched (the controller emits those for poisoned fetches).
+func (r *confStream) eviction(req Request) pfbuffer.Eviction {
+	return pfbuffer.Eviction{
+		ID:    pfbuffer.RowID{Bank: req.Bank, Row: req.Row},
+		Used:  r.next()%2 == 0,
+		Late:  r.next()%4 == 0,
+		Dirty: r.next()%4 == 0,
+		Util:  int(r.next() % 16),
+	}
+}
+
+// epochStats draws one epoch's efficacy feedback.
+func (r *confStream) epochStats() EpochStats {
+	return EpochStats{
+		Demands:       200,
+		BufferHits:    r.next() % 50,
+		FetchesIssued: r.next() % 40,
+		UsefulTimely:  r.next() % 20,
+		UsefulLate:    r.next() % 5,
+		EvictedUnused: r.next() % 20,
+	}
+}
+
+// confEpoch is the stream's epoch cadence for EpochObserver engines.
+const confEpoch = 257
+
+// step feeds e the stream's i-th event — a demand serve, a buffer hit or
+// an eviction, then epoch feedback every confEpoch events — and returns
+// dst extended with any fetches the serve produced.
+func (r *confStream) step(e Engine, ctx Context, i int, dst []Fetch) []Fetch {
+	req := r.request(ctx)
+	switch r.next() % 16 {
+	case 0:
+		e.OnBufferHit(req)
+	case 1:
+		e.OnEviction(r.eviction(req))
+	default:
+		st, displaced := r.outcome(ctx)
+		dst = e.OnDemandServed(dst, req, st, displaced)
+	}
+	if eo, ok := e.(EpochObserver); ok && i%confEpoch == confEpoch-1 {
+		eo.OnEpoch(r.epochStats())
+	}
+	return dst
+}
+
 // drive feeds engine e a fixed pseudo-random mix of demand serves, buffer
-// hits, and evictions (including evictions of rows the engine never
-// fetched, which the controller emits for poisoned fetches) and returns
-// the concatenated fetch log.
+// hits, evictions, and epoch feedback, and returns the concatenated fetch
+// log.
 func drive(e Engine, ctx Context, seed uint64, events int) []Fetch {
 	rng := confStream{s: seed}
 	var log []Fetch
 	for i := 0; i < events; i++ {
-		req := Request{
-			Bank:  int(rng.next() % uint64(ctx.Banks)),
-			Row:   int64(rng.next() % uint64(ctx.RowsPerBank)),
-			Line:  int(rng.next() % uint64(ctx.LinesPerRow)),
-			Write: rng.next()%8 == 0,
-		}
-		switch rng.next() % 16 {
-		case 0:
-			e.OnBufferHit(req)
-		case 1:
-			// Eviction of a row this engine may never have fetched.
-			e.OnEviction(pfbuffer.Eviction{
-				ID:    pfbuffer.RowID{Bank: req.Bank, Row: req.Row},
-				Used:  rng.next()%2 == 0,
-				Late:  rng.next()%4 == 0,
-				Dirty: rng.next()%4 == 0,
-				Util:  int(rng.next() % 16),
-			})
-		default:
-			states := [...]dram.RowState{dram.RowHit, dram.RowHit, dram.RowMiss, dram.RowConflict}
-			st := states[rng.next()%4]
-			displaced := dram.NoRow
-			if st == dram.RowConflict {
-				displaced = int64(rng.next() % uint64(ctx.RowsPerBank))
-			}
-			log = append(log, e.OnDemandServed(req, st, displaced)...)
-		}
-		if eo, ok := e.(EpochObserver); ok && i%257 == 256 {
-			eo.OnEpoch(EpochStats{
-				Demands:       200,
-				BufferHits:    rng.next() % 50,
-				FetchesIssued: rng.next() % 40,
-				UsefulTimely:  rng.next() % 20,
-				UsefulLate:    rng.next() % 5,
-				EvictedUnused: rng.next() % 20,
-			})
-		}
+		log = rng.step(e, ctx, i, log)
 	}
 	return log
 }
@@ -111,6 +150,78 @@ func TestEngineConformance(t *testing.T) {
 			// An epoch observer must advertise a positive cadence.
 			if eo, ok := e.(EpochObserver); ok && eo.EpochRequests() <= 0 {
 				t.Fatalf("EpochRequests() = %d, want > 0", eo.EpochRequests())
+			}
+		})
+	}
+}
+
+// evenRowQueue reports two queued reads for every even row, so BASE-HIT
+// fires on half the stream instead of never.
+type evenRowQueue struct{}
+
+func (evenRowQueue) PendingReadsForRow(_ int, row int64) int { return 2 * int(1-row%2) }
+
+// TestEngineAppendContract pins the OnDemandServed buffer contract the
+// vault controller relies on to reuse one buffer: an engine appends to
+// dst, never modifies dst[:len(dst)], and never keeps dst. Twin engines
+// see the same stream; one is handed a dst already holding sentinel
+// fetches, the other nil. The sentinels must survive, the appended tail
+// must equal the twin's output call for call, and scribbling over the
+// returned buffer between calls must not change later predictions.
+func TestEngineAppendContract(t *testing.T) {
+	sentinels := []Fetch{
+		{Bank: -1, Row: -1, CloseAfter: true, Touched: ^uint64(0)},
+		{Bank: -2, Row: -2},
+	}
+	for _, s := range AllSchemes() {
+		s := s
+		t.Run(s.String(), func(t *testing.T) {
+			cfg := config.Default()
+			ctx := testCtx(evenRowQueue{})
+			withDst, twin := New(s, cfg, ctx), New(s, cfg, ctx)
+			rng := confStream{s: 0x2545f4914f6cdd1d}
+			var buf []Fetch
+			fetches := 0
+			for i := 0; i < 6000; i++ {
+				req := rng.request(ctx)
+				switch rng.next() % 16 {
+				case 0:
+					withDst.OnBufferHit(req)
+					twin.OnBufferHit(req)
+				case 1:
+					ev := rng.eviction(req)
+					withDst.OnEviction(ev)
+					twin.OnEviction(ev)
+				default:
+					st, displaced := rng.outcome(ctx)
+					dst := append(buf[:0], sentinels...)
+					out := withDst.OnDemandServed(dst, req, st, displaced)
+					want := twin.OnDemandServed(nil, req, st, displaced)
+					if len(out) < len(sentinels) || !reflect.DeepEqual(out[:len(sentinels)], sentinels) ||
+						!reflect.DeepEqual(dst, sentinels) {
+						t.Fatalf("call %d: dst prefix modified: %+v", i, out)
+					}
+					if tail := out[len(sentinels):]; len(tail) != len(want) ||
+						(len(want) > 0 && !reflect.DeepEqual(tail, want)) {
+						t.Fatalf("call %d: appended %+v, twin returned %+v", i, tail, want)
+					}
+					fetches += len(want)
+					// An engine that kept dst would now read garbage.
+					buf = out[:cap(out)]
+					for j := range buf {
+						buf[j] = Fetch{Bank: -9, Row: -9, Touched: ^uint64(0)}
+					}
+				}
+				if i%confEpoch == confEpoch-1 {
+					if eo, ok := withDst.(EpochObserver); ok {
+						st := rng.epochStats()
+						eo.OnEpoch(st)
+						twin.(EpochObserver).OnEpoch(st)
+					}
+				}
+			}
+			if s != None && fetches == 0 {
+				t.Fatalf("%s issued no fetches; the stream does not exercise the contract", s)
 			}
 		})
 	}

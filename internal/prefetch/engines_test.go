@@ -61,7 +61,7 @@ func TestNewConstructsEveryScheme(t *testing.T) {
 func TestBaseFetchesEveryDemand(t *testing.T) {
 	e := newBase(testCtx(nil))
 	for _, state := range []dram.RowState{dram.RowHit, dram.RowMiss, dram.RowConflict} {
-		f := e.OnDemandServed(Request{Bank: 3, Row: 7, Line: 2}, state, dram.NoRow)
+		f := e.OnDemandServed(nil, Request{Bank: 3, Row: 7, Line: 2}, state, dram.NoRow)
 		if len(f) != 1 || f[0].Bank != 3 || f[0].Row != 7 || !f[0].CloseAfter {
 			t.Fatalf("BASE on %v returned %+v", state, f)
 		}
@@ -72,15 +72,15 @@ func TestBaseHitNeedsTwoPending(t *testing.T) {
 	q := fakeQueue{}
 	e := newBaseHit(testCtx(q))
 	req := Request{Bank: 1, Row: 5, Line: 0}
-	if f := e.OnDemandServed(req, dram.RowHit, dram.NoRow); len(f) != 0 {
+	if f := e.OnDemandServed(nil, req, dram.RowHit, dram.NoRow); len(f) != 0 {
 		t.Fatalf("BASE-HIT fetched with 0 pending: %+v", f)
 	}
 	q[[2]int64{1, 5}] = 1
-	if f := e.OnDemandServed(req, dram.RowHit, dram.NoRow); len(f) != 0 {
+	if f := e.OnDemandServed(nil, req, dram.RowHit, dram.NoRow); len(f) != 0 {
 		t.Fatalf("BASE-HIT fetched with 1 pending: %+v", f)
 	}
 	q[[2]int64{1, 5}] = 2
-	f := e.OnDemandServed(req, dram.RowHit, dram.NoRow)
+	f := e.OnDemandServed(nil, req, dram.RowHit, dram.NoRow)
 	if len(f) != 1 || f[0].Row != 5 || f[0].CloseAfter {
 		t.Fatalf("BASE-HIT with 2 pending returned %+v, want open-row fetch", f)
 	}
@@ -88,7 +88,7 @@ func TestBaseHitNeedsTwoPending(t *testing.T) {
 
 func TestBaseHitNilQueue(t *testing.T) {
 	e := newBaseHit(testCtx(nil))
-	if f := e.OnDemandServed(Request{}, dram.RowHit, dram.NoRow); f != nil {
+	if f := e.OnDemandServed(nil, Request{}, dram.RowHit, dram.NoRow); f != nil {
 		t.Fatal("BASE-HIT with nil queue should not fetch")
 	}
 }
@@ -99,18 +99,18 @@ func TestCAMPSUtilizationTrigger(t *testing.T) {
 	req := func(line int) Request { return Request{Bank: 2, Row: 11, Line: line} }
 
 	// First access: a miss (row just opened, not in CT) -> tracked, no fetch.
-	if f := e.OnDemandServed(req(0), dram.RowMiss, dram.NoRow); len(f) != 0 {
+	if f := e.OnDemandServed(nil, req(0), dram.RowMiss, dram.NoRow); len(f) != 0 {
 		t.Fatalf("fetch on first access: %+v", f)
 	}
 	// Three more distinct lines as row hits; the 4th distinct line reaches
 	// the threshold of 4 and triggers the fetch.
-	if f := e.OnDemandServed(req(1), dram.RowHit, dram.NoRow); len(f) != 0 {
+	if f := e.OnDemandServed(nil, req(1), dram.RowHit, dram.NoRow); len(f) != 0 {
 		t.Fatalf("premature fetch at util 2: %+v", f)
 	}
-	if f := e.OnDemandServed(req(2), dram.RowHit, dram.NoRow); len(f) != 0 {
+	if f := e.OnDemandServed(nil, req(2), dram.RowHit, dram.NoRow); len(f) != 0 {
 		t.Fatalf("premature fetch at util 3: %+v", f)
 	}
-	f := e.OnDemandServed(req(3), dram.RowHit, dram.NoRow)
+	f := e.OnDemandServed(nil, req(3), dram.RowHit, dram.NoRow)
 	if len(f) != 1 || f[0].Row != 11 || f[0].Bank != 2 || !f[0].CloseAfter {
 		t.Fatalf("no fetch at util 4: %+v", f)
 	}
@@ -127,9 +127,9 @@ func TestCAMPSRepeatedLinesDoNotTrigger(t *testing.T) {
 	cfg := config.Default()
 	e := newCAMPS(cfg.CAMPS, testCtx(nil))
 	req := Request{Bank: 0, Row: 1, Line: 5}
-	e.OnDemandServed(req, dram.RowMiss, dram.NoRow)
+	e.OnDemandServed(nil, req, dram.RowMiss, dram.NoRow)
 	for i := 0; i < 10; i++ {
-		if f := e.OnDemandServed(req, dram.RowHit, dram.NoRow); len(f) != 0 {
+		if f := e.OnDemandServed(nil, req, dram.RowHit, dram.NoRow); len(f) != 0 {
 			t.Fatalf("same-line hits triggered fetch: %+v", f)
 		}
 	}
@@ -140,10 +140,10 @@ func TestCAMPSConflictPath(t *testing.T) {
 	e := newCAMPS(cfg.CAMPS, testCtx(nil))
 
 	// Row 100 opens in bank 0 and is profiled.
-	e.OnDemandServed(Request{Bank: 0, Row: 100, Line: 0}, dram.RowMiss, dram.NoRow)
+	e.OnDemandServed(nil, Request{Bank: 0, Row: 100, Line: 0}, dram.RowMiss, dram.NoRow)
 	// Row 200 conflicts with row 100: 100 moves to the CT; 200 not in CT,
 	// so no fetch yet.
-	if f := e.OnDemandServed(Request{Bank: 0, Row: 200, Line: 0}, dram.RowConflict, 100); len(f) != 0 {
+	if f := e.OnDemandServed(nil, Request{Bank: 0, Row: 200, Line: 0}, dram.RowConflict, 100); len(f) != 0 {
 		t.Fatalf("fetch on first conflict: %+v", f)
 	}
 	if e.CTLen() != 1 {
@@ -151,7 +151,7 @@ func TestCAMPSConflictPath(t *testing.T) {
 	}
 	// Row 100 comes back (conflicting with 200): it IS in the CT -> fetch
 	// it whole, remove from CT.
-	f := e.OnDemandServed(Request{Bank: 0, Row: 100, Line: 3}, dram.RowConflict, 200)
+	f := e.OnDemandServed(nil, Request{Bank: 0, Row: 100, Line: 3}, dram.RowConflict, 200)
 	if len(f) != 1 || f[0].Row != 100 || !f[0].CloseAfter {
 		t.Fatalf("conflict-prone row not fetched: %+v", f)
 	}
@@ -166,11 +166,11 @@ func TestCAMPSConflictWithUntrackedDisplacedRow(t *testing.T) {
 	e := newCAMPS(cfg.CAMPS, testCtx(nil))
 	// A conflict whose displaced row was never in the RUT (e.g. opened by a
 	// writeback) still lands in the CT via the displacedRow argument.
-	e.OnDemandServed(Request{Bank: 1, Row: 50, Line: 0}, dram.RowConflict, 49)
+	e.OnDemandServed(nil, Request{Bank: 1, Row: 50, Line: 0}, dram.RowConflict, 49)
 	if e.CTLen() != 1 {
 		t.Fatalf("CT len = %d, want 1", e.CTLen())
 	}
-	f := e.OnDemandServed(Request{Bank: 1, Row: 49, Line: 0}, dram.RowConflict, 50)
+	f := e.OnDemandServed(nil, Request{Bank: 1, Row: 49, Line: 0}, dram.RowConflict, 50)
 	if len(f) != 1 || f[0].Row != 49 {
 		t.Fatalf("untracked displaced row not treated as conflict-prone: %+v", f)
 	}
@@ -185,11 +185,11 @@ func TestCAMPSMissAfterCampsFetchIsNotConflictProne(t *testing.T) {
 		if i == 0 {
 			st = dram.RowMiss
 		}
-		e.OnDemandServed(Request{Bank: 0, Row: 7, Line: i}, st, dram.NoRow)
+		e.OnDemandServed(nil, Request{Bank: 0, Row: 7, Line: i}, st, dram.NoRow)
 	}
 	// New row opens as a plain miss (bank was precharged): no CT entry,
 	// so it should be profiled, not fetched.
-	if f := e.OnDemandServed(Request{Bank: 0, Row: 8, Line: 0}, dram.RowMiss, dram.NoRow); len(f) != 0 {
+	if f := e.OnDemandServed(nil, Request{Bank: 0, Row: 8, Line: 0}, dram.RowMiss, dram.NoRow); len(f) != 0 {
 		t.Fatalf("plain miss triggered fetch: %+v", f)
 	}
 }
@@ -198,7 +198,7 @@ func TestCAMPSThresholdOneFetchesImmediately(t *testing.T) {
 	cfg := config.Default()
 	cfg.CAMPS.UtilThreshold = 1
 	e := newCAMPS(cfg.CAMPS, testCtx(nil))
-	f := e.OnDemandServed(Request{Bank: 0, Row: 3, Line: 0}, dram.RowMiss, dram.NoRow)
+	f := e.OnDemandServed(nil, Request{Bank: 0, Row: 3, Line: 0}, dram.RowMiss, dram.NoRow)
 	if len(f) != 1 {
 		t.Fatalf("threshold-1 engine should fetch on first access: %+v", f)
 	}
@@ -209,21 +209,21 @@ func TestMMDTwoTouchConfirmation(t *testing.T) {
 	cfg.MMD.TouchThreshold = 2
 	e := newMMD(cfg.MMD, testCtx(nil))
 	// First distinct line: no fetch yet.
-	if f := e.OnDemandServed(Request{Bank: 4, Row: 10, Line: 0}, dram.RowMiss, dram.NoRow); len(f) != 0 {
+	if f := e.OnDemandServed(nil, Request{Bank: 4, Row: 10, Line: 0}, dram.RowMiss, dram.NoRow); len(f) != 0 {
 		t.Fatalf("fetch on first touch: %+v", f)
 	}
 	// Same line again: still one distinct line, no fetch.
-	if f := e.OnDemandServed(Request{Bank: 4, Row: 10, Line: 0}, dram.RowHit, dram.NoRow); len(f) != 0 {
+	if f := e.OnDemandServed(nil, Request{Bank: 4, Row: 10, Line: 0}, dram.RowHit, dram.NoRow); len(f) != 0 {
 		t.Fatalf("fetch on repeated line: %+v", f)
 	}
 	// Second distinct line confirms the row: degree-1 fetch of the row
 	// itself, left open (CloseAfter false — MMD is not conflict-aware).
-	f := e.OnDemandServed(Request{Bank: 4, Row: 10, Line: 1}, dram.RowHit, dram.NoRow)
+	f := e.OnDemandServed(nil, Request{Bank: 4, Row: 10, Line: 1}, dram.RowHit, dram.NoRow)
 	if len(f) != 1 || f[0].Row != 10 || f[0].Bank != 4 || f[0].CloseAfter {
 		t.Fatalf("confirmation fetch = %+v, want open-row fetch of row 10", f)
 	}
 	// Touch history cleared after the fetch.
-	if f := e.OnDemandServed(Request{Bank: 4, Row: 10, Line: 2}, dram.RowHit, dram.NoRow); len(f) != 0 {
+	if f := e.OnDemandServed(nil, Request{Bank: 4, Row: 10, Line: 2}, dram.RowHit, dram.NoRow); len(f) != 0 {
 		t.Fatalf("immediate re-fetch after trigger: %+v", f)
 	}
 }
@@ -232,10 +232,10 @@ func TestMMDRowChangeRestartsHistory(t *testing.T) {
 	cfg := config.Default()
 	cfg.MMD.TouchThreshold = 2
 	e := newMMD(cfg.MMD, testCtx(nil))
-	e.OnDemandServed(Request{Bank: 0, Row: 1, Line: 0}, dram.RowMiss, dram.NoRow)
+	e.OnDemandServed(nil, Request{Bank: 0, Row: 1, Line: 0}, dram.RowMiss, dram.NoRow)
 	// Conflict opens row 2: history restarts, so its first touch cannot
 	// trigger even though the RUT slot was half full.
-	if f := e.OnDemandServed(Request{Bank: 0, Row: 2, Line: 1}, dram.RowConflict, 1); len(f) != 0 {
+	if f := e.OnDemandServed(nil, Request{Bank: 0, Row: 2, Line: 1}, dram.RowConflict, 1); len(f) != 0 {
 		t.Fatalf("fetch after row change: %+v", f)
 	}
 }
@@ -258,8 +258,8 @@ func TestMMDDegreeAdaptation(t *testing.T) {
 	}
 	// At degree 2, a confirmed row also fetches its successor, precharged
 	// after the copy.
-	e.OnDemandServed(Request{Bank: 3, Row: 50, Line: 0}, dram.RowMiss, dram.NoRow)
-	f := e.OnDemandServed(Request{Bank: 3, Row: 50, Line: 1}, dram.RowHit, dram.NoRow)
+	e.OnDemandServed(nil, Request{Bank: 3, Row: 50, Line: 0}, dram.RowMiss, dram.NoRow)
+	f := e.OnDemandServed(nil, Request{Bank: 3, Row: 50, Line: 1}, dram.RowHit, dram.NoRow)
 	if len(f) != 2 || f[0].Row != 50 || f[1].Row != 51 || !f[1].CloseAfter {
 		t.Fatalf("degree-2 fetches = %+v", f)
 	}
@@ -283,8 +283,8 @@ func TestMMDRespectsRowBound(t *testing.T) {
 	ctx.RowsPerBank = 11
 	e := newMMD(cfg.MMD, ctx)
 	e.degree = 2
-	e.OnDemandServed(Request{Bank: 0, Row: 10, Line: 0}, dram.RowMiss, dram.NoRow)
-	f := e.OnDemandServed(Request{Bank: 0, Row: 10, Line: 1}, dram.RowHit, dram.NoRow)
+	e.OnDemandServed(nil, Request{Bank: 0, Row: 10, Line: 0}, dram.RowMiss, dram.NoRow)
+	f := e.OnDemandServed(nil, Request{Bank: 0, Row: 10, Line: 1}, dram.RowHit, dram.NoRow)
 	if len(f) != 1 || f[0].Row != 10 {
 		t.Fatalf("next-row fetch beyond the last row: %+v", f)
 	}
@@ -302,8 +302,8 @@ func TestMMDZeroDegreeFetchesNothingAndProbes(t *testing.T) {
 		t.Fatalf("degree = %d, want 0", e.Degree())
 	}
 	// A zero-degree engine must not fetch even for a confirmed row.
-	e.OnDemandServed(Request{Bank: 0, Row: 5, Line: 0}, dram.RowMiss, dram.NoRow)
-	if f := e.OnDemandServed(Request{Bank: 0, Row: 5, Line: 1}, dram.RowHit, dram.NoRow); len(f) != 0 {
+	e.OnDemandServed(nil, Request{Bank: 0, Row: 5, Line: 0}, dram.RowMiss, dram.NoRow)
+	if f := e.OnDemandServed(nil, Request{Bank: 0, Row: 5, Line: 1}, dram.RowHit, dram.NoRow); len(f) != 0 {
 		t.Fatalf("zero-degree engine fetched: %+v", f)
 	}
 	// With no evictions arriving, the next epoch probes back to degree 1.
@@ -316,7 +316,7 @@ func TestMMDZeroDegreeFetchesNothingAndProbes(t *testing.T) {
 func TestNoneNeverFetches(t *testing.T) {
 	e := newNone()
 	for _, state := range []dram.RowState{dram.RowHit, dram.RowMiss, dram.RowConflict} {
-		if f := e.OnDemandServed(Request{Bank: 1, Row: 2, Line: 3}, state, dram.NoRow); f != nil {
+		if f := e.OnDemandServed(nil, Request{Bank: 1, Row: 2, Line: 3}, state, dram.NoRow); f != nil {
 			t.Fatalf("NONE fetched on %v: %+v", state, f)
 		}
 	}
@@ -327,15 +327,15 @@ func TestNoneNeverFetches(t *testing.T) {
 func TestASDConfirmsAscendingStream(t *testing.T) {
 	e := newASD(testCtx(nil))
 	// First touch opens the episode.
-	if f := e.OnDemandServed(Request{Bank: 0, Row: 9, Line: 0}, dram.RowMiss, dram.NoRow); f != nil {
+	if f := e.OnDemandServed(nil, Request{Bank: 0, Row: 9, Line: 0}, dram.RowMiss, dram.NoRow); f != nil {
 		t.Fatalf("fetch on episode open: %+v", f)
 	}
 	// One ascending touch: not confirmed yet.
-	if f := e.OnDemandServed(Request{Bank: 0, Row: 9, Line: 1}, dram.RowHit, dram.NoRow); f != nil {
+	if f := e.OnDemandServed(nil, Request{Bank: 0, Row: 9, Line: 1}, dram.RowHit, dram.NoRow); f != nil {
 		t.Fatalf("fetch after one ascending touch: %+v", f)
 	}
 	// Second ascending touch confirms.
-	f := e.OnDemandServed(Request{Bank: 0, Row: 9, Line: 2}, dram.RowHit, dram.NoRow)
+	f := e.OnDemandServed(nil, Request{Bank: 0, Row: 9, Line: 2}, dram.RowHit, dram.NoRow)
 	if len(f) != 1 || f[0].Row != 9 || f[0].CloseAfter {
 		t.Fatalf("confirmation = %+v, want open-row fetch of row 9", f)
 	}
@@ -343,10 +343,10 @@ func TestASDConfirmsAscendingStream(t *testing.T) {
 
 func TestASDIgnoresNonMonotonicAccess(t *testing.T) {
 	e := newASD(testCtx(nil))
-	e.OnDemandServed(Request{Bank: 0, Row: 9, Line: 5}, dram.RowMiss, dram.NoRow)
+	e.OnDemandServed(nil, Request{Bank: 0, Row: 9, Line: 5}, dram.RowMiss, dram.NoRow)
 	// Descending and repeated lines never confirm.
 	for _, line := range []int{4, 3, 3, 2, 1, 0} {
-		if f := e.OnDemandServed(Request{Bank: 0, Row: 9, Line: line}, dram.RowHit, dram.NoRow); f != nil {
+		if f := e.OnDemandServed(nil, Request{Bank: 0, Row: 9, Line: line}, dram.RowHit, dram.NoRow); f != nil {
 			t.Fatalf("non-monotonic access fetched: %+v", f)
 		}
 	}
@@ -360,26 +360,26 @@ func TestASDDepthAdaptsToLongEpisodes(t *testing.T) {
 	// Feed asdEpoch long episodes (full 16-line sweeps).
 	for ep := 0; ep < asdEpoch+1; ep++ {
 		row := int64(ep)
-		e.OnDemandServed(Request{Bank: 0, Row: row, Line: 0}, dram.RowMiss, dram.NoRow)
+		e.OnDemandServed(nil, Request{Bank: 0, Row: row, Line: 0}, dram.RowMiss, dram.NoRow)
 		for l := 1; l < 16; l++ {
-			e.OnDemandServed(Request{Bank: 0, Row: row, Line: l}, dram.RowHit, dram.NoRow)
+			e.OnDemandServed(nil, Request{Bank: 0, Row: row, Line: l}, dram.RowHit, dram.NoRow)
 		}
 	}
 	if e.Depth() != 2 {
 		t.Fatalf("depth after long episodes = %d, want 2", e.Depth())
 	}
 	// At depth 2 a confirmation also fetches the successor row.
-	e.OnDemandServed(Request{Bank: 3, Row: 100, Line: 0}, dram.RowMiss, dram.NoRow)
-	e.OnDemandServed(Request{Bank: 3, Row: 100, Line: 1}, dram.RowHit, dram.NoRow)
-	f := e.OnDemandServed(Request{Bank: 3, Row: 100, Line: 2}, dram.RowHit, dram.NoRow)
+	e.OnDemandServed(nil, Request{Bank: 3, Row: 100, Line: 0}, dram.RowMiss, dram.NoRow)
+	e.OnDemandServed(nil, Request{Bank: 3, Row: 100, Line: 1}, dram.RowHit, dram.NoRow)
+	f := e.OnDemandServed(nil, Request{Bank: 3, Row: 100, Line: 2}, dram.RowHit, dram.NoRow)
 	if len(f) != 2 || f[1].Row != 101 || !f[1].CloseAfter {
 		t.Fatalf("depth-2 fetches = %+v", f)
 	}
 	// Feed short episodes: depth falls back to 1.
 	for ep := 0; ep < 2*asdEpoch+1; ep++ {
 		row := int64(1000 + ep)
-		e.OnDemandServed(Request{Bank: 1, Row: row, Line: 0}, dram.RowConflict, row-1)
-		e.OnDemandServed(Request{Bank: 1, Row: row, Line: 1}, dram.RowHit, dram.NoRow)
+		e.OnDemandServed(nil, Request{Bank: 1, Row: row, Line: 0}, dram.RowConflict, row-1)
+		e.OnDemandServed(nil, Request{Bank: 1, Row: row, Line: 1}, dram.RowHit, dram.NoRow)
 	}
 	if e.Depth() != 1 {
 		t.Fatalf("depth after short episodes = %d, want 1", e.Depth())

@@ -51,14 +51,14 @@ func newGHB(cfg config.GHB, ctx Context) *ghbEngine {
 // live reports whether absolute history position p is still in the ring.
 func (e *ghbEngine) live(p int64) bool { return p >= 0 && p >= e.seq-int64(len(e.hist)) }
 
-func (e *ghbEngine) OnDemandServed(req Request, state dram.RowState, _ int64) []Fetch {
+func (e *ghbEngine) OnDemandServed(dst []Fetch, req Request, state dram.RowState, _ int64) []Fetch {
 	if state == dram.RowHit {
-		return nil // activations only: the GHB tracks row openings
+		return dst // activations only: the GHB tracks row openings
 	}
 	key := rowKey(req.Bank, req.Row)
 	if e.lastKey < 0 {
 		e.lastKey = key
-		return nil
+		return dst
 	}
 	delta := key - e.lastKey
 	e.lastKey = key
@@ -68,30 +68,11 @@ func (e *ghbEngine) OnDemandServed(req Request, state dram.RowState, _ int64) []
 	e.ait[h] = e.seq
 	e.seq++
 
-	var fetches []Fetch
-	add := func(k int64) {
-		if k == key {
-			return
-		}
-		bank, row := rowKeyBank(k), rowKeyRow(k)
-		if bank < 0 || bank >= e.ctx.Banks || row < 0 {
-			return
-		}
-		if e.ctx.RowsPerBank > 0 && row >= e.ctx.RowsPerBank {
-			return
-		}
-		for _, f := range fetches {
-			if f.Bank == bank && f.Row == row {
-				return
-			}
-		}
-		fetches = append(fetches, Fetch{Bank: bank, Row: row, CloseAfter: true})
-	}
-
 	// Width traversal: each live chain occurrence contributes the Degree
 	// activations that followed it. prev pointers only move backwards in
 	// sequence, so the walk cannot cycle; it is additionally bounded by
 	// Width.
+	base := len(dst)
 	ptr := chain
 	for w := 0; w < e.cfg.Width && e.live(ptr); w++ {
 		for d := int64(1); d <= int64(e.cfg.Degree); d++ {
@@ -102,12 +83,12 @@ func (e *ghbEngine) OnDemandServed(req Request, state dram.RowState, _ int64) []
 			if !e.live(s) {
 				continue
 			}
-			add(e.hist[s%int64(len(e.hist))].key)
+			dst = e.appendPredicted(dst, base, key, e.hist[s%int64(len(e.hist))].key)
 		}
 		ptr = e.hist[ptr%int64(len(e.hist))].prev
 	}
-	if len(fetches) > 0 {
-		return fetches
+	if len(dst) > base {
+		return dst
 	}
 	// Cold delta: sequential fallback within the bank.
 	for d := int64(1); d <= int64(e.cfg.Degree); d++ {
@@ -115,9 +96,29 @@ func (e *ghbEngine) OnDemandServed(req Request, state dram.RowState, _ int64) []
 		if e.ctx.RowsPerBank > 0 && row >= e.ctx.RowsPerBank {
 			break
 		}
-		fetches = append(fetches, Fetch{Bank: req.Bank, Row: row, CloseAfter: true})
+		dst = append(dst, Fetch{Bank: req.Bank, Row: row, CloseAfter: true})
 	}
-	return fetches
+	return dst
+}
+
+// appendPredicted appends a fetch of the predicted row k to dst unless it
+// is the trigger row, lies outside the vault, or is already among this
+// trigger's fetches (dst[base:]).
+func (e *ghbEngine) appendPredicted(dst []Fetch, base int, trigger, k int64) []Fetch {
+	if k == trigger {
+		return dst
+	}
+	bank, row := rowKeyBank(k), rowKeyRow(k)
+	if bank < 0 || bank >= e.ctx.Banks || row < 0 {
+		return dst
+	}
+	if e.ctx.RowsPerBank > 0 && row >= e.ctx.RowsPerBank {
+		return dst
+	}
+	if hasRow(dst[base:], bank, row) {
+		return dst
+	}
+	return append(dst, Fetch{Bank: bank, Row: row, CloseAfter: true})
 }
 
 func (e *ghbEngine) OnBufferHit(Request) {}

@@ -28,6 +28,11 @@ type hybridEngine struct {
 	// whose directive fetched them, so eviction feedback reaches only the
 	// engine that asked for the row.
 	owner []ownerEntry
+
+	// scratch receives each candidate's would-be fetches in turn; it is
+	// reused across candidates and triggers, so shadowing allocates
+	// nothing once it has grown to the largest prediction set.
+	scratch []Fetch
 }
 
 type hybridCand struct {
@@ -119,26 +124,26 @@ func (e *hybridEngine) credit(key int64) {
 	}
 }
 
-func (e *hybridEngine) OnDemandServed(req Request, state dram.RowState, displacedRow int64) []Fetch {
+func (e *hybridEngine) OnDemandServed(dst []Fetch, req Request, state dram.RowState, displacedRow int64) []Fetch {
 	e.credit(rowKey(req.Bank, req.Row))
-	var out []Fetch
 	for i := range e.cands {
 		c := &e.cands[i]
-		fs := c.eng.OnDemandServed(req, state, displacedRow)
-		for _, f := range fs {
+		e.scratch = c.eng.OnDemandServed(e.scratch[:0], req, state, displacedRow)
+		for _, f := range e.scratch {
 			fk := rowKey(f.Bank, f.Row)
 			c.preds++
 			c.shadow[e.slot(fk)] = fk
 		}
-		if i == e.winner {
-			out = fs
+		if i != e.winner {
+			continue
 		}
+		for _, f := range e.scratch {
+			fk := rowKey(f.Bank, f.Row)
+			e.owner[e.slot(fk)] = ownerEntry{key: fk, cand: e.winner}
+		}
+		dst = append(dst, e.scratch...)
 	}
-	for _, f := range out {
-		fk := rowKey(f.Bank, f.Row)
-		e.owner[e.slot(fk)] = ownerEntry{key: fk, cand: e.winner}
-	}
-	return out
+	return dst
 }
 
 func (e *hybridEngine) OnBufferHit(req Request) {

@@ -41,29 +41,28 @@ func newMMD(cfg config.MMD, ctx Context) *mmdEngine {
 // ablation benches).
 func (e *mmdEngine) Degree() int { return e.degree }
 
-func (e *mmdEngine) OnDemandServed(req Request, state dram.RowState, _ int64) []Fetch {
+func (e *mmdEngine) OnDemandServed(dst []Fetch, req Request, state dram.RowState, _ int64) []Fetch {
 	if state != dram.RowHit {
 		// A new row occupies the row buffer; restart its touch history.
 		e.touch.Displace(req.Bank)
 	}
 	util := e.touch.Track(req.Bank, req.Row, req.Line)
 	if e.degree == 0 || util < e.cfg.TouchThreshold {
-		return nil
+		return dst
 	}
 	touched := e.touch.Bitmap(req.Bank)
 	e.touch.Clear(req.Bank)
-	fetches := make([]Fetch, 0, e.degree)
 	// The confirmed row itself: copied but left open (open-page policy;
 	// MMD is not conflict-aware).
-	fetches = append(fetches, Fetch{Bank: req.Bank, Row: req.Row, CloseAfter: false, Touched: touched})
+	dst = append(dst, Fetch{Bank: req.Bank, Row: req.Row, CloseAfter: false, Touched: touched})
 	for d := 1; d < e.degree; d++ {
 		row := req.Row + int64(d)
 		if e.ctx.RowsPerBank > 0 && row >= e.ctx.RowsPerBank {
 			break
 		}
-		fetches = append(fetches, Fetch{Bank: req.Bank, Row: row, CloseAfter: true})
+		dst = append(dst, Fetch{Bank: req.Bank, Row: row, CloseAfter: true})
 	}
-	return fetches
+	return dst
 }
 
 func (e *mmdEngine) OnBufferHit(Request) {}

@@ -10,10 +10,10 @@ import (
 func TestGHBIgnoresRowHitsAndFirstActivation(t *testing.T) {
 	cfg := config.Default()
 	e := newGHB(cfg.GHB, testCtx(nil))
-	if f := e.OnDemandServed(Request{Bank: 0, Row: 10}, dram.RowHit, dram.NoRow); f != nil {
+	if f := e.OnDemandServed(nil, Request{Bank: 0, Row: 10}, dram.RowHit, dram.NoRow); f != nil {
 		t.Fatalf("ghb fetched on a row hit: %+v", f)
 	}
-	if f := e.OnDemandServed(Request{Bank: 0, Row: 10}, dram.RowMiss, dram.NoRow); f != nil {
+	if f := e.OnDemandServed(nil, Request{Bank: 0, Row: 10}, dram.RowMiss, dram.NoRow); f != nil {
 		t.Fatalf("ghb fetched on the first activation (no delta yet): %+v", f)
 	}
 }
@@ -22,8 +22,8 @@ func TestGHBColdDeltaSequentialFallback(t *testing.T) {
 	cfg := config.Default()
 	cfg.GHB.Degree = 2
 	e := newGHB(cfg.GHB, testCtx(nil))
-	e.OnDemandServed(Request{Bank: 0, Row: 10}, dram.RowMiss, dram.NoRow)
-	f := e.OnDemandServed(Request{Bank: 0, Row: 20}, dram.RowMiss, dram.NoRow)
+	e.OnDemandServed(nil, Request{Bank: 0, Row: 10}, dram.RowMiss, dram.NoRow)
+	f := e.OnDemandServed(nil, Request{Bank: 0, Row: 20}, dram.RowMiss, dram.NoRow)
 	if len(f) != 2 || f[0].Row != 21 || f[1].Row != 22 || !f[0].CloseAfter {
 		t.Fatalf("cold-delta fallback = %+v, want close-after rows 21,22", f)
 	}
@@ -35,8 +35,8 @@ func TestGHBFallbackRespectsRowBound(t *testing.T) {
 	ctx := testCtx(nil)
 	ctx.RowsPerBank = 22
 	e := newGHB(cfg.GHB, ctx)
-	e.OnDemandServed(Request{Bank: 0, Row: 10}, dram.RowMiss, dram.NoRow)
-	f := e.OnDemandServed(Request{Bank: 0, Row: 20}, dram.RowMiss, dram.NoRow)
+	e.OnDemandServed(nil, Request{Bank: 0, Row: 10}, dram.RowMiss, dram.NoRow)
+	f := e.OnDemandServed(nil, Request{Bank: 0, Row: 20}, dram.RowMiss, dram.NoRow)
 	if len(f) != 1 || f[0].Row != 21 {
 		t.Fatalf("fallback crossed RowsPerBank: %+v", f)
 	}
@@ -51,9 +51,9 @@ func TestGHBWidthWalkPredictsHistorySuccessors(t *testing.T) {
 	// the delta-2 chain has a live prior occurrence (12@seq0) whose history
 	// successor (14@seq1) the width walk predicts.
 	for _, r := range []int64{10, 12, 14} {
-		e.OnDemandServed(Request{Bank: 0, Row: r}, dram.RowMiss, dram.NoRow)
+		e.OnDemandServed(nil, Request{Bank: 0, Row: r}, dram.RowMiss, dram.NoRow)
 	}
-	f := e.OnDemandServed(Request{Bank: 0, Row: 16}, dram.RowMiss, dram.NoRow)
+	f := e.OnDemandServed(nil, Request{Bank: 0, Row: 16}, dram.RowMiss, dram.NoRow)
 	if len(f) != 1 || f[0].Row != 14 || f[0].Bank != 0 {
 		t.Fatalf("width walk = %+v, want history successor row 14", f)
 	}
@@ -64,11 +64,11 @@ func TestSISBLearnsTemporalSuccessor(t *testing.T) {
 	e := newSISB(cfg.SISB, testCtx(nil))
 	// Train the pair 5 -> 9 on bank 2, then reactivate 5: the learned
 	// successor 9 is predicted. Irregular (non-stride) on purpose.
-	e.OnDemandServed(Request{Bank: 2, Row: 5}, dram.RowMiss, dram.NoRow)
-	if f := e.OnDemandServed(Request{Bank: 2, Row: 9}, dram.RowMiss, dram.NoRow); f != nil {
+	e.OnDemandServed(nil, Request{Bank: 2, Row: 5}, dram.RowMiss, dram.NoRow)
+	if f := e.OnDemandServed(nil, Request{Bank: 2, Row: 9}, dram.RowMiss, dram.NoRow); f != nil {
 		t.Fatalf("prediction before any successor was learned: %+v", f)
 	}
-	f := e.OnDemandServed(Request{Bank: 2, Row: 5}, dram.RowConflict, 9)
+	f := e.OnDemandServed(nil, Request{Bank: 2, Row: 5}, dram.RowConflict, 9)
 	if len(f) != 1 || f[0].Bank != 2 || f[0].Row != 9 || !f[0].CloseAfter {
 		t.Fatalf("learned successor not predicted: %+v", f)
 	}
@@ -80,9 +80,9 @@ func TestSISBChainFollowsDegreeSteps(t *testing.T) {
 	e := newSISB(cfg.SISB, testCtx(nil))
 	// Teach the chain 1 -> 4 -> 2 -> 8, then reactivate 1.
 	for _, r := range []int64{1, 4, 2, 8} {
-		e.OnDemandServed(Request{Bank: 0, Row: r}, dram.RowMiss, dram.NoRow)
+		e.OnDemandServed(nil, Request{Bank: 0, Row: r}, dram.RowMiss, dram.NoRow)
 	}
-	f := e.OnDemandServed(Request{Bank: 0, Row: 1}, dram.RowMiss, dram.NoRow)
+	f := e.OnDemandServed(nil, Request{Bank: 0, Row: 1}, dram.RowMiss, dram.NoRow)
 	if len(f) != 3 || f[0].Row != 4 || f[1].Row != 2 || f[2].Row != 8 {
 		t.Fatalf("chain walk = %+v, want rows 4,2,8", f)
 	}
@@ -95,17 +95,17 @@ func TestSISBTableEvictsFIFO(t *testing.T) {
 	// The 1,2,3,4 stream trains 1->2, 2->3, 3->4 into a 2-entry table:
 	// training 3->4 evicts the oldest pair (1->2), leaving {2->3, 3->4}.
 	for _, r := range []int64{1, 2, 3, 4} {
-		e.OnDemandServed(Request{Bank: 0, Row: r}, dram.RowMiss, dram.NoRow)
+		e.OnDemandServed(nil, Request{Bank: 0, Row: r}, dram.RowMiss, dram.NoRow)
 	}
 	// Reactivating 3 first trains 4->3 (evicting 2->3, now the oldest),
 	// then predicts from the surviving 3->4.
-	f := e.OnDemandServed(Request{Bank: 0, Row: 3}, dram.RowMiss, dram.NoRow)
+	f := e.OnDemandServed(nil, Request{Bank: 0, Row: 3}, dram.RowMiss, dram.NoRow)
 	if len(f) == 0 || f[0].Row != 4 {
 		t.Fatalf("young pair lost: %+v", f)
 	}
 	// Activating 2 updates the known key 3 (3->2, no eviction) and finds
 	// its own successor pair 2->3 evicted.
-	if f := e.OnDemandServed(Request{Bank: 0, Row: 2}, dram.RowMiss, dram.NoRow); len(f) != 0 {
+	if f := e.OnDemandServed(nil, Request{Bank: 0, Row: 2}, dram.RowMiss, dram.NoRow); len(f) != 0 {
 		t.Fatalf("evicted pair still predicted: %+v", f)
 	}
 }
@@ -118,12 +118,12 @@ func TestBestOffsetLearnsStride(t *testing.T) {
 	// (in round-robin order) whose RR probes keep hitting, so it reaches
 	// ScoreMax and is elected.
 	for i := int64(0); i < 200 && e.BestOffsetRows() != 3; i++ {
-		e.OnDemandServed(Request{Bank: 0, Row: 3 * i}, dram.RowMiss, dram.NoRow)
+		e.OnDemandServed(nil, Request{Bank: 0, Row: 3 * i}, dram.RowMiss, dram.NoRow)
 	}
 	if e.BestOffsetRows() != 3 {
 		t.Fatalf("offset after stride-3 stream = %d, want 3", e.BestOffsetRows())
 	}
-	f := e.OnDemandServed(Request{Bank: 0, Row: 600}, dram.RowMiss, dram.NoRow)
+	f := e.OnDemandServed(nil, Request{Bank: 0, Row: 600}, dram.RowMiss, dram.NoRow)
 	if len(f) != 1 || f[0].Row != 603 || !f[0].CloseAfter {
 		t.Fatalf("elected offset not applied: %+v", f)
 	}
@@ -136,12 +136,12 @@ func TestBestOffsetDisablesOnBadScore(t *testing.T) {
 	// Widely scattered activations give no offset any score; after one
 	// round the engine turns itself off rather than pollute the buffer.
 	for i := int64(0); i < int64(len(boOffsets)); i++ {
-		e.OnDemandServed(Request{Bank: 0, Row: 100 * (i + 1) * (i + 1)}, dram.RowMiss, dram.NoRow)
+		e.OnDemandServed(nil, Request{Bank: 0, Row: 100 * (i + 1) * (i + 1)}, dram.RowMiss, dram.NoRow)
 	}
 	if e.BestOffsetRows() != 0 {
 		t.Fatalf("offset after scoreless round = %d, want 0 (disabled)", e.BestOffsetRows())
 	}
-	if f := e.OnDemandServed(Request{Bank: 0, Row: 7}, dram.RowMiss, dram.NoRow); len(f) != 0 {
+	if f := e.OnDemandServed(nil, Request{Bank: 0, Row: 7}, dram.RowMiss, dram.NoRow); len(f) != 0 {
 		t.Fatalf("disabled engine fetched: %+v", f)
 	}
 }
@@ -166,7 +166,7 @@ func TestHybridIssuesOnlyWinnersFetches(t *testing.T) {
 	}
 	// BASE would fetch every demand, but NONE holds the buffer: nothing is
 	// issued while BASE only shadows.
-	if f := e.OnDemandServed(Request{Bank: 1, Row: 7}, dram.RowMiss, dram.NoRow); len(f) != 0 {
+	if f := e.OnDemandServed(nil, Request{Bank: 1, Row: 7}, dram.RowMiss, dram.NoRow); len(f) != 0 {
 		t.Fatalf("non-winner's fetches issued: %+v", f)
 	}
 }
@@ -179,13 +179,13 @@ func TestHybridElectsCreditedCandidate(t *testing.T) {
 	// and the next demand credits it, so BASE's shadow accuracy dominates
 	// NONE's empty score at the epoch boundary.
 	for i := 0; i < 10; i++ {
-		e.OnDemandServed(Request{Bank: 0, Row: 42}, dram.RowMiss, dram.NoRow)
+		e.OnDemandServed(nil, Request{Bank: 0, Row: 42}, dram.RowMiss, dram.NoRow)
 	}
 	e.OnEpoch(EpochStats{Demands: 10})
 	if got := e.Winner(); got != "BASE" {
 		t.Fatalf("winner after credited epoch = %q, want BASE", got)
 	}
-	f := e.OnDemandServed(Request{Bank: 0, Row: 42}, dram.RowMiss, dram.NoRow)
+	f := e.OnDemandServed(nil, Request{Bank: 0, Row: 42}, dram.RowMiss, dram.NoRow)
 	if len(f) != 1 || f[0].Row != 42 {
 		t.Fatalf("new winner's fetches not issued: %+v", f)
 	}
@@ -201,7 +201,7 @@ func TestHybridDisablesWhenNoCandidateScores(t *testing.T) {
 	if got := e.Winner(); got != "" {
 		t.Fatalf("winner with no positive score = %q, want disabled", got)
 	}
-	if f := e.OnDemandServed(Request{Bank: 0, Row: 3}, dram.RowMiss, dram.NoRow); len(f) != 0 {
+	if f := e.OnDemandServed(nil, Request{Bank: 0, Row: 3}, dram.RowMiss, dram.NoRow); len(f) != 0 {
 		t.Fatalf("disabled hybrid fetched: %+v", f)
 	}
 }

@@ -13,7 +13,9 @@ type noneEngine struct{}
 
 func newNone() noneEngine { return noneEngine{} }
 
-func (noneEngine) OnDemandServed(Request, dram.RowState, int64) []Fetch { return nil }
+func (noneEngine) OnDemandServed(dst []Fetch, _ Request, _ dram.RowState, _ int64) []Fetch {
+	return dst
+}
 
 func (noneEngine) OnBufferHit(Request) {}
 

@@ -80,9 +80,14 @@ type Engine interface {
 	// OnDemandServed fires when a demand request has been serviced from a
 	// DRAM bank (not the prefetch buffer). state is the row-buffer outcome
 	// the request saw; displacedRow is the row that was closed to make room
-	// when state is RowConflict, else dram.NoRow. The returned fetches are
-	// executed by the controller as bank bandwidth allows.
-	OnDemandServed(req Request, state dram.RowState, displacedRow int64) []Fetch
+	// when state is RowConflict, else dram.NoRow.
+	//
+	// The engine appends its fetch directives to dst and returns the
+	// extended slice; the controller executes them as bank bandwidth
+	// allows. An engine never modifies dst[:len(dst)] and never retains
+	// dst or the result past the call, so the caller can reuse one buffer
+	// for every trigger and the steady-state path allocates nothing.
+	OnDemandServed(dst []Fetch, req Request, state dram.RowState, displacedRow int64) []Fetch
 	// OnBufferHit fires when a demand request was served by the prefetch
 	// buffer instead of a bank.
 	OnBufferHit(req Request)
@@ -129,8 +134,19 @@ func New(s Scheme, cfg config.Config, ctx Context) Engine {
 // engines. Rows per bank is bounded far below 2^40 in any valid geometry.
 func rowKey(bank int, row int64) int64 { return int64(bank)<<40 | row }
 
+// hasRow reports whether fs already holds a fetch of (bank, row); the
+// multi-prediction engines use it to dedup within one trigger's fetches.
+func hasRow(fs []Fetch, bank int, row int64) bool {
+	for _, f := range fs {
+		if f.Bank == bank && f.Row == row {
+			return true
+		}
+	}
+	return false
+}
+
 // rowKeyBank and rowKeyRow unpack a rowKey.
-func rowKeyBank(k int64) int { return int(k >> 40) }
+func rowKeyBank(k int64) int  { return int(k >> 40) }
 func rowKeyRow(k int64) int64 { return k & (1<<40 - 1) }
 
 // mix64 is a splitmix64-style finalizer used to hash table indices; fixed

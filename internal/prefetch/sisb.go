@@ -58,9 +58,9 @@ func (e *sisbEngine) train(prev, key int64) {
 	e.next[prev] = key
 }
 
-func (e *sisbEngine) OnDemandServed(req Request, state dram.RowState, _ int64) []Fetch {
+func (e *sisbEngine) OnDemandServed(dst []Fetch, req Request, state dram.RowState, _ int64) []Fetch {
 	if state == dram.RowHit {
-		return nil // activations only, like the other history engines
+		return dst // activations only, like the other history engines
 	}
 	key := rowKey(req.Bank, req.Row)
 	if prev := e.last[req.Bank]; prev >= 0 && prev != key {
@@ -68,7 +68,7 @@ func (e *sisbEngine) OnDemandServed(req Request, state dram.RowState, _ int64) [
 	}
 	e.last[req.Bank] = key
 
-	var fetches []Fetch
+	base := len(dst)
 	p := key
 	for d := 0; d < e.cfg.Degree; d++ {
 		nk, ok := e.next[p]
@@ -80,20 +80,13 @@ func (e *sisbEngine) OnDemandServed(req Request, state dram.RowState, _ int64) [
 			(e.ctx.RowsPerBank > 0 && row >= e.ctx.RowsPerBank) {
 			break
 		}
-		dup := false
-		for _, f := range fetches {
-			if f.Bank == bank && f.Row == row {
-				dup = true
-				break
-			}
-		}
-		if dup {
+		if hasRow(dst[base:], bank, row) {
 			break // the chain closed a loop; stop
 		}
-		fetches = append(fetches, Fetch{Bank: bank, Row: row, CloseAfter: true})
+		dst = append(dst, Fetch{Bank: bank, Row: row, CloseAfter: true})
 		p = nk
 	}
-	return fetches
+	return dst
 }
 
 func (e *sisbEngine) OnBufferHit(Request) {}

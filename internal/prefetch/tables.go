@@ -83,7 +83,9 @@ func (r *RUT) Displace(bank int) (row int64, touched uint64, ok bool) {
 // its next activation has caused a row-buffer conflict and is a prefetch
 // candidate.
 type CT struct {
-	cap     int
+	// entries is allocated once at capacity and never reallocated:
+	// eviction and removal shift entries down within the backing array,
+	// like the fixed hardware table it models.
 	entries []ctEntry // index 0 = LRU, last = MRU
 }
 
@@ -98,14 +100,14 @@ func NewCT(capacity int) *CT {
 	if capacity <= 0 {
 		panic("prefetch: CT needs positive capacity")
 	}
-	return &CT{cap: capacity}
+	return &CT{entries: make([]ctEntry, 0, capacity)}
 }
 
 // Len returns the number of resident entries.
 func (c *CT) Len() int { return len(c.entries) }
 
 // Capacity returns the table capacity.
-func (c *CT) Capacity() int { return c.cap }
+func (c *CT) Capacity() int { return cap(c.entries) }
 
 // Insert records a displaced row (with its referenced-line bitmap) as the
 // MRU entry, evicting the LRU entry if the table is full. Re-inserting a
@@ -113,9 +115,9 @@ func (c *CT) Capacity() int { return c.cap }
 func (c *CT) Insert(bank int, row int64, touched uint64) {
 	if i := c.find(bank, row); i >= 0 {
 		touched |= c.entries[i].touched
-		c.entries = append(c.entries[:i], c.entries[i+1:]...)
-	} else if len(c.entries) == c.cap {
-		c.entries = c.entries[1:]
+		c.removeAt(i)
+	} else if len(c.entries) == cap(c.entries) {
+		c.removeAt(0)
 	}
 	c.entries = append(c.entries, ctEntry{bank: bank, row: row, touched: touched})
 }
@@ -133,8 +135,15 @@ func (c *CT) Remove(bank int, row int64) (uint64, bool) {
 		return 0, false
 	}
 	touched := c.entries[i].touched
-	c.entries = append(c.entries[:i], c.entries[i+1:]...)
+	c.removeAt(i)
 	return touched, true
+}
+
+// removeAt deletes entry i, shifting the more recent entries down one slot
+// in place so the backing array keeps its full capacity.
+func (c *CT) removeAt(i int) {
+	copy(c.entries[i:], c.entries[i+1:])
+	c.entries = c.entries[:len(c.entries)-1]
 }
 
 func (c *CT) find(bank int, row int64) int {

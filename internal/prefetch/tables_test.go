@@ -165,3 +165,40 @@ func TestCTStoresAndMergesBitmaps(t *testing.T) {
 		t.Fatalf("CT bitmap = %#b,%v; want merged 0b1111", touched, ok)
 	}
 }
+
+// TestCTFixedCapacityNoAlloc pins the fixed-table contract: the CT's
+// backing array is sized once, eviction shifts within it instead of
+// sliding the slice window (which made append reallocate), and a full
+// table inserts and removes without allocating.
+func TestCTFixedCapacityNoAlloc(t *testing.T) {
+	const capacity = 32
+	ct := NewCT(capacity)
+	for i := 0; i < 4*capacity; i++ {
+		ct.Insert(i%16, int64(i), 1<<uint(i%16))
+		if got := cap(ct.entries); got != capacity {
+			t.Fatalf("after %d inserts cap(entries) = %d, want %d", i+1, got, capacity)
+		}
+	}
+	if ct.Len() != capacity {
+		t.Fatalf("len = %d, want %d", ct.Len(), capacity)
+	}
+	row := int64(1000)
+	// One run of many operations: AllocsPerRun truncates its mean to an
+	// integer, which would hide an allocation amortized over a few dozen
+	// evictions; a single run reports the exact total.
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 1000; i++ {
+			ct.Insert(int(row%16), row, 1) // evicts the LRU entry
+			ct.Insert(int(row%16), row, 2) // refreshes a resident entry
+			ct.Remove(int(row%16), row)
+			ct.Insert(int(row%16), row, 3) // refills the freed slot
+			row++
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("1000 rounds of Insert/Remove on a full CT allocated %.0f times, want 0", allocs)
+	}
+	if got := cap(ct.entries); got != capacity {
+		t.Fatalf("cap(entries) = %d after churn, want %d", got, capacity)
+	}
+}

@@ -75,9 +75,18 @@ type Controller struct {
 	storeQ []pfbuffer.RowID
 
 	// Hot-path callbacks and scratch space, allocated once per controller.
-	scheduleFn   func()
-	retryFn      func()
-	fetchScratch []prefetch.Fetch
+	scheduleFn func()
+	retryFn    func()
+	fillFn     func(uint64)
+	// fetchBuf receives each trigger's directives from the engine, which
+	// appends to it and never retains it, so one buffer serves every
+	// trigger.
+	fetchBuf []prefetch.Fetch
+	// fills holds the row fetches in flight to the buffer. A fill event
+	// carries its slot index (sim.Engine.AtArg) instead of capturing the
+	// fetch in a closure; fillFree recycles landed slots.
+	fills    []pendingFill
+	fillFree []int
 
 	// Per-bank queued-work counts, maintained on every enqueue/dequeue.
 	// schedule() runs after every bank event; the counts let startJob skip
@@ -138,6 +147,13 @@ type Controller struct {
 // window is one [start, end) interval on a bank's timeline.
 type window struct{ start, end sim.Time }
 
+// pendingFill is one fetched row on its way into the prefetch buffer.
+type pendingFill struct {
+	id      pfbuffer.RowID
+	touched uint64
+	at      sim.Time
+}
+
 // Event-order tags (sim.Engine.WithTag). Every event stream rooted in a
 // vault carries one of two tags derived from the vault id: requests
 // entering the vault (and everything they cause — bank operations,
@@ -176,6 +192,7 @@ func New(eng *sim.Engine, cfg config.Config, scheme prefetch.Scheme, id int) *Co
 		fetchCount:  make([]int, nbanks),
 	}
 	c.scheduleFn = c.schedule
+	c.fillFn = c.landFill
 	c.retryFn = func() {
 		c.retryArmed = false
 		c.schedule()
@@ -279,7 +296,7 @@ func (c *Controller) emit(t obs.EventType, at sim.Time, bank int, row, arg int64
 // Call before the simulation starts.
 func (c *Controller) SetFaults(site *fault.VaultSite) { c.faults = site }
 
-/// AttachAttribution connects the vault to the attribution layer: demand
+// AttachAttribution connects the vault to the attribution layer: demand
 // spans accrue cause segments here, and every prefetch's fate is
 // classified into the ledger (the buffer records eviction outcomes; the
 // controller records queue-overflow and poison casualties directly).
@@ -803,10 +820,10 @@ func (c *Controller) runRead(b int, now sim.Time, p pending) {
 	c.spans.AdvanceTo(p.req.Span, obs.CauseService, int64(dataDone))
 	c.complete(p.req, p.arrived, dataDone)
 	c.tickEpoch()
-	fetches := c.pf.OnDemandServed(
+	c.fetchBuf = c.pf.OnDemandServed(c.fetchBuf[:0],
 		prefetch.Request{Bank: p.req.Bank, Row: p.req.Row, Line: p.req.Line, Write: false},
 		state, displaced)
-	c.dispatchFetches(b, p.req.Row, fetches)
+	c.dispatchFetches(b, p.req.Row, c.fetchBuf)
 	c.autoPrecharge(b, p.req.Row)
 	c.eng.At(c.busy[b], c.scheduleFn)
 }
@@ -848,10 +865,10 @@ func (c *Controller) runWrite(b int, now sim.Time, p pending) {
 	c.recordRowState(state, now, b, p.req.Row)
 	c.stats.WriteBursts.Inc()
 	c.tickEpoch()
-	fetches := c.pf.OnDemandServed(
+	c.fetchBuf = c.pf.OnDemandServed(c.fetchBuf[:0],
 		prefetch.Request{Bank: p.req.Bank, Row: p.req.Row, Line: p.req.Line, Write: true},
 		state, displaced)
-	c.dispatchFetches(b, p.req.Row, fetches)
+	c.dispatchFetches(b, p.req.Row, c.fetchBuf)
 	c.autoPrecharge(b, p.req.Row)
 	c.eng.At(c.busy[b], c.scheduleFn)
 }
@@ -860,9 +877,10 @@ func (c *Controller) runWrite(b int, now sim.Time, p pending) {
 // row* into the same bank job — fetch-then-precharge is one action in the
 // paper's scheme, and deferring it behind queued demand would let the
 // demand stream drain the row from the bank before the copy happens. All
-// other fetch targets go through the queue.
+// other fetch targets go through the queue. fetches is the controller's
+// own buffer, so the queued ones are compacted in place.
 func (c *Controller) dispatchFetches(b int, servedRow int64, fetches []prefetch.Fetch) {
-	queued := c.fetchScratch[:0]
+	queued := fetches[:0]
 	for _, f := range fetches {
 		if f.Bank == b && f.Row == servedRow && c.banks[b].OpenRow() == servedRow {
 			c.runInlineFetch(b, f)
@@ -871,7 +889,6 @@ func (c *Controller) dispatchFetches(b int, servedRow int64, fetches []prefetch.
 		queued = append(queued, f)
 	}
 	c.enqueueFetches(queued)
-	c.fetchScratch = queued[:0]
 }
 
 // runInlineFetch copies the open row to the buffer immediately after the
@@ -897,7 +914,7 @@ func (c *Controller) runInlineFetch(b int, f prefetch.Fetch) {
 		c.epochAcc.FetchesIssued++
 	}
 	c.emit(obs.EvPrefetchIssue, start, b, f.Row, 1)
-	c.eng.At(end, func() { c.insertFetched(id, f.Touched, end) })
+	c.scheduleFill(id, f.Touched, end)
 }
 
 // runFetch copies a whole row into the prefetch buffer. It reports whether
@@ -924,9 +941,33 @@ func (c *Controller) runFetch(b int, now sim.Time, f prefetch.Fetch) bool {
 		c.epochAcc.FetchesIssued++
 	}
 	c.emit(obs.EvPrefetchIssue, start, b, f.Row, 0)
-	c.eng.At(end, func() { c.insertFetched(id, f.Touched, end) })
+	c.scheduleFill(id, f.Touched, end)
 	c.eng.At(release, c.scheduleFn)
 	return true
+}
+
+// scheduleFill arranges for the fetched row to land in the buffer at end,
+// parking the fill in a recycled slot of c.fills.
+func (c *Controller) scheduleFill(id pfbuffer.RowID, touched uint64, end sim.Time) {
+	fill := pendingFill{id: id, touched: touched, at: end}
+	var slot int
+	if n := len(c.fillFree); n > 0 {
+		slot = c.fillFree[n-1]
+		c.fillFree = c.fillFree[:n-1]
+		c.fills[slot] = fill
+	} else {
+		slot = len(c.fills)
+		c.fills = append(c.fills, fill)
+	}
+	c.eng.AtArg(end, c.fillFn, uint64(slot))
+}
+
+// landFill is the fill event scheduled by scheduleFill: it frees the slot
+// and inserts the row.
+func (c *Controller) landFill(slot uint64) {
+	fill := c.fills[slot]
+	c.fillFree = append(c.fillFree, int(slot))
+	c.insertFetched(fill.id, fill.touched, fill.at)
 }
 
 // insertFetched lands a fetched row in the prefetch buffer. A poisoned
