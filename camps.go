@@ -160,14 +160,6 @@ type RunConfig struct {
 	// invariants are validated, and a violation halts the run with an
 	// error matching ErrInvariant instead of producing corrupt results.
 	CheckInvariants bool
-	// Workers selects the execution engine: 0 or 1 runs the serial event
-	// engine (the default); N > 1 shards the vault controllers over N-1
-	// worker goroutines coordinated by the caller's goroutine, using the
-	// conservative lookahead windows of sim.RunParallel. Results are
-	// byte-identical to the serial engine at every worker count (the
-	// differential determinism suite enforces this); only wall-clock
-	// changes. Values beyond 1+vaults clamp.
-	Workers int
 }
 
 // FaultSpec re-exports the fault-injection spec for RunConfig.Faults.
@@ -366,21 +358,7 @@ func RunContext(ctx context.Context, rc RunConfig) (Results, error) {
 	}
 
 	eng := sim.NewEngine()
-	var cube *hmc.Cube
-	var shardRT *hmc.ShardRuntime
-	if nshards := rc.Workers - 1; nshards > 0 {
-		if v := rc.System.HMC.Vaults; nshards > v {
-			nshards = v
-		}
-		shardEngs := make([]*sim.Engine, nshards)
-		for i := range shardEngs {
-			shardEngs[i] = sim.NewEngine()
-		}
-		cube, shardRT = hmc.NewCubeSharded(eng, rc.System, rc.Scheme,
-			shardEngs, hmc.PlanShards(rc.System.HMC.Vaults, nshards))
-	} else {
-		cube = hmc.NewCube(eng, rc.System, rc.Scheme)
-	}
+	cube := hmc.NewCube(eng, rc.System, rc.Scheme)
 	// Fault injection: all schedules derive from (Seed, Faults.Seed), so
 	// reruns with the same pair see identical faults. A disabled spec wires
 	// nothing, keeping the fault-free fast path untouched.
@@ -477,46 +455,10 @@ func RunContext(ctx context.Context, rc RunConfig) (Results, error) {
 		}
 		sim.NewHaltWatcher(eng, interval, func() bool { return ctx.Err() != nil })
 	}
-	// Parallel mode: give each vault shard private observability
-	// instances (tracer ring, prefetch ledger) and pin the span pool so
-	// no obs structure is written from two shards. Everything folds back
-	// into the suite after the run.
-	var shardTracers []*obs.Tracer
-	var shardLedgers []*obs.PrefetchLedger
-	if shardRT != nil {
-		if rc.Obs != nil {
-			shardTracers = rc.Obs.ShardTracers(shardRT.Shards())
-			shardLedgers = rc.Obs.ShardLedgers(shardRT.Shards())
-			cube.SetShardObs(shardTracers, shardLedgers)
-		}
-		if rc.Obs.AttributionEnabled() {
-			// Far above the structural in-flight bound (MSHR entries plus
-			// coalesced secondaries and overflow); Begin fails loudly if
-			// the bound is ever wrong.
-			rc.Obs.Spans.Reserve(1 << 14)
-		}
-	}
 	for _, c := range cpus {
 		c.Start()
 	}
-	if shardRT != nil {
-		// Window = half the minimum cross-shard response latency: the
-		// skewed pipeline needs no request-side lookahead at all, and
-		// responses come due at least two windows after the vault window
-		// that produced them. See sim.RunParallel and DESIGN.md §10.
-		sim.RunParallel(ctx, eng, shardRT.Engines(), hmc.ResponseLookahead(rc.System)/2, shardRT)
-	} else {
-		eng.Run()
-	}
-	if shardRT != nil && rc.Obs != nil {
-		rc.Obs.MergeShardTracers(shardTracers)
-		// The shard ledgers are NOT merged here: cube.Flush() below still
-		// classifies every row resident in a prefetch buffer at halt, and
-		// the buffers write those verdicts into their attached (per-shard)
-		// ledgers. Merging happens after Flush, right before the summary
-		// is built, so the parallel ledger covers exactly what serial's
-		// does.
-	}
+	eng.Run()
 	if err := ctx.Err(); err != nil {
 		return Results{}, fmt.Errorf("camps: run cancelled at %v simulated: %w", eng.Now(), err)
 	}
@@ -555,11 +497,6 @@ func RunContext(ctx context.Context, rc RunConfig) (Results, error) {
 	res.GeoMeanIPC = stats.GeoMean(res.IPC)
 
 	cube.Flush()
-	if shardRT != nil && rc.Obs != nil {
-		// Deferred from the post-run merge above: Flush has now recorded
-		// the halt-resident buffer rows into the per-shard ledgers.
-		rc.Obs.MergeShardLedgers(shardLedgers)
-	}
 	vs := cube.VaultStats()
 	res.VaultStats = vs
 	for i := 0; i < cube.Vaults(); i++ {

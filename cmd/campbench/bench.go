@@ -2,17 +2,16 @@
 // scenarios, measures simulator throughput (not the simulated system's
 // performance), and emits a machine-readable BENCH_<date>.json. With
 // -bench-baseline it additionally compares against a committed baseline
-// and exits non-zero on a >15% events/sec regression on any scenario, or
-// on a >2% allocs/op increase on any serial scenario — the CI gates that
-// keep the event hot path from quietly slowing down.
+// and exits non-zero on a >15% events/sec regression or a >2% allocs/op
+// increase on any scenario — the CI gates that keep the event hot path
+// from quietly slowing down.
 //
 // Methodology: each scenario is one complete camps.Run (warmup + measured
 // region). It runs -bench-count times and the best run (highest events/sec)
 // is reported, which discards scheduler noise and cold-cache effects the
 // same way `go test -bench` users take the best of -count runs. Allocation
 // figures come from runtime.MemStats deltas around the same run; nothing
-// else allocates concurrently (the parallel scenarios' worker goroutines
-// are part of the run), so the deltas are exact.
+// else allocates concurrently, so the deltas are exact.
 package main
 
 import (
@@ -21,7 +20,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strings"
 	"time"
 
 	"camps"
@@ -35,22 +33,20 @@ const benchSchema = 1
 const regressionTolerance = 0.15
 
 // allocTolerance is the fractional allocs/op growth versus the baseline
-// that fails the gate on a serial scenario. A serial run's allocation
-// count is a property of the code, not the host (two machines measured
-// 280,787 and 280,785 on the default scenario), so the bound is tight.
-// Sharded runs are exempt: their allocations follow goroutine scheduling.
+// that fails the gate. A run's allocation count is a property of the
+// code, not the host (two machines measured 280,787 and 280,785 on the
+// default scenario), so the bound is tight.
 const allocTolerance = 0.02
 
 // benchScenario is one named measurement configuration. The set spans the
 // simulator's distinct hot-path mixes: the default CAMPS-MOD system, the
 // prefetch-free path, and a latency-bound low-memory-intensity workload.
 type benchScenario struct {
-	Name    string
-	Mix     string
-	Scheme  camps.Scheme
-	Instr   uint64
-	Warmup  uint64
-	Workers int // 0/1 = serial engine; N>1 = sharded parallel engine
+	Name   string
+	Mix    string
+	Scheme camps.Scheme
+	Instr  uint64
+	Warmup uint64
 }
 
 func benchScenarios() []benchScenario {
@@ -62,13 +58,6 @@ func benchScenarios() []benchScenario {
 		// the full demand stream, so it bounds the engine-side overhead of
 		// the registry redesign.
 		{Name: "hybrid", Mix: "MX1", Scheme: camps.HYBRID, Instr: 200_000, Warmup: 20_000},
-		// Worker-count matrix on the default scenario: the same simulation
-		// on the sharded parallel engine. Results are bit-identical to
-		// "default" (the differential suite asserts it); these rows track
-		// the throughput scaling of the shard runtime itself.
-		{Name: "parallel-w2", Mix: "MX1", Scheme: camps.CAMPSMOD, Instr: 200_000, Warmup: 20_000, Workers: 2},
-		{Name: "parallel-w4", Mix: "MX1", Scheme: camps.CAMPSMOD, Instr: 200_000, Warmup: 20_000, Workers: 4},
-		{Name: "parallel-w8", Mix: "MX1", Scheme: camps.CAMPSMOD, Instr: 200_000, Warmup: 20_000, Workers: 8},
 	}
 }
 
@@ -79,7 +68,6 @@ type benchResult struct {
 	Name         string  `json:"name"`
 	Mix          string  `json:"mix"`
 	Scheme       string  `json:"scheme"`
-	Workers      int     `json:"workers,omitempty"`
 	Instructions uint64  `json:"instructions"`
 	Events       uint64  `json:"events"`
 	SimPS        int64   `json:"sim_ps"`
@@ -99,11 +87,10 @@ type benchFile struct {
 	Scenarios []benchResult `json:"scenarios"`
 }
 
-// runBenchmarks executes every scenario (filtered to names containing
-// match, when non-empty) count times, reports the best run of each,
-// writes outPath, and compares against baselinePath when given. It
-// returns false if the regression gate failed.
-func runBenchmarks(outPath, baselinePath, match string, count int, seed uint64) bool {
+// runBenchmarks executes every scenario count times, reports the best run
+// of each, writes outPath, and compares against baselinePath when given.
+// It returns false if the regression gate failed.
+func runBenchmarks(outPath, baselinePath string, count int, seed uint64) bool {
 	if count < 1 {
 		count = 1
 	}
@@ -115,9 +102,6 @@ func runBenchmarks(outPath, baselinePath, match string, count int, seed uint64) 
 		Count:     count,
 	}
 	for _, sc := range benchScenarios() {
-		if match != "" && !strings.Contains(sc.Name, match) {
-			continue
-		}
 		best, err := benchOne(sc, count, seed)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "campbench: scenario %s: %v\n", sc.Name, err)
@@ -160,7 +144,6 @@ func benchOne(sc benchScenario, count int, seed uint64) (benchResult, error) {
 		Seed:         seed,
 		WarmupRefs:   sc.Warmup,
 		MeasureInstr: sc.Instr,
-		Workers:      sc.Workers,
 	}
 	var best benchResult
 	for i := 0; i < count; i++ {
@@ -178,7 +161,6 @@ func benchOne(sc benchScenario, count int, seed uint64) (benchResult, error) {
 			Name:         sc.Name,
 			Mix:          sc.Mix,
 			Scheme:       sc.Scheme.String(),
-			Workers:      sc.Workers,
 			Instructions: res.Instructions,
 			Events:       res.EventsFired,
 			SimPS:        int64(res.ElapsedSim),
@@ -213,6 +195,15 @@ func compareBaseline(cur benchFile, path string) bool {
 	for _, r := range base.Scenarios {
 		byName[r.Name] = r
 	}
+	ran := make(map[string]bool, len(cur.Scenarios))
+	for _, r := range cur.Scenarios {
+		ran[r.Name] = true
+	}
+	for _, b := range base.Scenarios {
+		if !ran[b.Name] {
+			fmt.Fprintf(os.Stderr, "campbench: baseline scenario %s was not run (skipped)\n", b.Name)
+		}
+	}
 	slow, fat := false, false
 	for _, r := range cur.Scenarios {
 		b, found := byName[r.Name]
@@ -223,7 +214,7 @@ func compareBaseline(cur benchFile, path string) bool {
 		ratio := r.EventsPerSec / b.EventsPerSec
 		allocRatio := float64(r.Allocs) / float64(max(b.Allocs, 1))
 		rowSlow := ratio < 1-regressionTolerance
-		rowFat := r.Workers <= 1 && allocRatio > 1+allocTolerance
+		rowFat := allocRatio > 1+allocTolerance
 		verdict := "ok"
 		switch {
 		case rowSlow && rowFat:
@@ -242,7 +233,7 @@ func compareBaseline(cur benchFile, path string) bool {
 			regressionTolerance*100, path)
 	}
 	if fat {
-		fmt.Fprintf(os.Stderr, "campbench: serial allocs/op grew more than %.0f%% against %s\n",
+		fmt.Fprintf(os.Stderr, "campbench: allocs/op grew more than %.0f%% against %s\n",
 			allocTolerance*100, path)
 	}
 	return !slow && !fat

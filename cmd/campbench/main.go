@@ -66,7 +66,6 @@ func main() {
 		benchOut      = flag.String("bench-out", "", "benchmark output file (default BENCH_<date>.json; empty in gate-only runs to skip writing: use -bench-out \"\" explicitly)")
 		benchCount    = flag.Int("bench-count", 3, "runs per benchmark scenario; the best is reported")
 		benchBaseline = flag.String("bench-baseline", "", "baseline BENCH_*.json to gate against (>15% events/sec loss fails)")
-		benchMatch    = flag.String("bench-match", "", "run only scenarios whose name contains this substring")
 	)
 	flag.Parse()
 	if *version {
@@ -78,7 +77,7 @@ func main() {
 		if out == "" && !flagSet("bench-out") {
 			out = "BENCH_" + time.Now().Format("2006-01-02") + ".json"
 		}
-		if !runBenchmarks(out, *benchBaseline, *benchMatch, *benchCount, *seed) {
+		if !runBenchmarks(out, *benchBaseline, *benchCount, *seed) {
 			os.Exit(1)
 		}
 		return

@@ -1,14 +1,13 @@
 // Command campslint statically enforces the simulator's determinism and
 // concurrency invariants. Per-package analyzers check that no wall
-// clock or global RNG reaches simulation packages, no map-iteration
-// order leaks into results, context is threaded through every
+// clock, global RNG or goroutine launch reaches simulation packages, no
+// map-iteration order leaks into results, context is threaded through every
 // orchestration entry point, ticks never mix with time.Duration, and
 // obs metrics are registered. Whole-program analyzers walk a
 // cross-package call graph (including prefetch.Engine interface
-// dispatch) built from cached per-package facts: shardsafe certifies
-// that vault-controller paths never write shared state or launch
-// goroutines, globalmut that mutable package-level state is written
-// only during init or Register-at-init, and detflow that no
+// dispatch) built from cached per-package facts: globalmut certifies
+// that mutable package-level state is written only during init or
+// Register-at-init, and detflow that no
 // nondeterminism source hides behind a cross-package helper called
 // from simulation code.
 //
@@ -17,7 +16,7 @@
 //	campslint [flags] [analyzer,...] [packages]
 //
 // The analyzer selection may ride as the first positional argument
-// (e.g. `campslint shardsafe,globalmut,detflow ./...`) or via -only.
+// (e.g. `campslint globalmut,detflow ./...`) or via -only.
 // -timing reports load, facts-cache, and per-analyzer wall time;
 // -allow-budget fails the run when //lint:allow-* use exceeds the
 // committed .campslint-budget baseline.

@@ -77,11 +77,7 @@ func (c Counts) Total() uint64 {
 type Injector struct {
 	spec   Spec
 	seed   uint64
-	counts Counts // link-class counters; vault-class counters live per site
-
-	// vsites registers every vault site handed out, so Counts and the
-	// fault.* metrics can fold the per-site counters back together.
-	vsites []*VaultSite
+	counts Counts
 
 	// Observability (nil unless Instrument was called). Emit on a nil
 	// tracer is a no-op, so injection sites carry no conditionals.
@@ -99,43 +95,12 @@ func NewInjector(spec Spec, runSeed uint64) *Injector {
 // Spec returns the spec the injector was built from (defaults applied).
 func (inj *Injector) Spec() Spec { return inj.spec }
 
-// Counts returns the injections performed so far, folding the per-site
-// vault counters into the injector's link counters. Under the parallel
-// engine the sites are written by different shards, so call it only
-// while the simulation is parked (between windows or after the run).
+// Counts returns the injections performed so far.
 func (inj *Injector) Counts() Counts {
 	if inj == nil {
 		return Counts{}
 	}
-	c := inj.counts
-	c.VaultStalls = inj.vaultStalls()
-	c.PoisonedRows = inj.poisonedRows()
-	c.BankBlackouts = inj.bankBlackouts()
-	return c
-}
-
-func (inj *Injector) vaultStalls() uint64 {
-	var n uint64
-	for _, v := range inj.vsites {
-		n += v.stalls
-	}
-	return n
-}
-
-func (inj *Injector) poisonedRows() uint64 {
-	var n uint64
-	for _, v := range inj.vsites {
-		n += v.poisoned
-	}
-	return n
-}
-
-func (inj *Injector) bankBlackouts() uint64 {
-	var n uint64
-	for _, v := range inj.vsites {
-		n += v.blackouts
-	}
-	return n
+	return inj.counts
 }
 
 // Instrument registers the injector's counters with the observability
@@ -153,9 +118,9 @@ func (inj *Injector) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 	c := &inj.counts
 	reg.CounterFunc("fault.link_crc_errors", func() uint64 { return c.LinkCRCErrors })
 	reg.CounterFunc("fault.link_retries", func() uint64 { return c.LinkRetries })
-	reg.CounterFunc("fault.vault_stalls", inj.vaultStalls)
-	reg.CounterFunc("fault.poisoned_rows", inj.poisonedRows)
-	reg.CounterFunc("fault.bank_blackouts", inj.bankBlackouts)
+	reg.CounterFunc("fault.vault_stalls", func() uint64 { return c.VaultStalls })
+	reg.CounterFunc("fault.poisoned_rows", func() uint64 { return c.PoisonedRows })
+	reg.CounterFunc("fault.bank_blackouts", func() uint64 { return c.BankBlackouts })
 }
 
 // LinkSite is one link direction's injection state. A nil *LinkSite (from
@@ -213,20 +178,6 @@ type VaultSite struct {
 	inj *Injector
 	id  int32
 
-	// Per-site counters, folded by Injector.Counts. Keeping them here
-	// rather than on the injector matters under the parallel engine:
-	// stalls is written at request admission (shard 0) while poisoned and
-	// blackouts are written inside the vault (its own shard) — distinct
-	// words, so neither write shares memory across shards.
-	stalls    uint64
-	poisoned  uint64
-	blackouts uint64
-
-	// tr, when set via SetTracer, receives the vault-side emissions
-	// (poison, blackout) instead of the injector's tracer; the parallel
-	// runner points it at the vault shard's private ring.
-	tr *obs.Tracer
-
 	stallRNG  stream
 	stallRate float64
 	stallFor  sim.Time
@@ -271,26 +222,7 @@ func (inj *Injector) Vault(id, banks int) *VaultSite {
 			v.counted[b] = -1
 		}
 	}
-	inj.vsites = append(inj.vsites, v)
 	return v
-}
-
-// SetTracer redirects the site's vault-side emissions (poison, bank
-// blackout) to tr. Ingress-stall emissions stay on the injector's
-// tracer: they happen at request admission, which always runs on the
-// coordinator shard.
-func (v *VaultSite) SetTracer(tr *obs.Tracer) {
-	if v != nil {
-		v.tr = tr
-	}
-}
-
-// vaultTracer returns the tracer for vault-side emissions.
-func (v *VaultSite) vaultTracer() *obs.Tracer {
-	if v.tr != nil {
-		return v.tr
-	}
-	return v.inj.tr
 }
 
 // StallDelay draws one request's ingress stall: 0 for a clean delivery,
@@ -302,7 +234,7 @@ func (v *VaultSite) StallDelay(at sim.Time) sim.Time {
 	if v.stallRNG.float() >= v.stallRate {
 		return 0
 	}
-	v.stalls++
+	v.inj.counts.VaultStalls++
 	v.inj.tr.Emit(obs.Event{At: int64(at), Type: obs.EvFaultVaultStall,
 		Vault: v.id, Bank: -1, Arg: int64(v.stallFor)})
 	return v.stallFor
@@ -317,8 +249,8 @@ func (v *VaultSite) PoisonInsert(bank int, row int64, at sim.Time) bool {
 	if v.poisonRNG.float() >= v.poisonRate {
 		return false
 	}
-	v.poisoned++
-	v.vaultTracer().Emit(obs.Event{At: int64(at), Type: obs.EvFaultPoison,
+	v.inj.counts.PoisonedRows++
+	v.inj.tr.Emit(obs.Event{At: int64(at), Type: obs.EvFaultPoison,
 		Vault: v.id, Bank: int32(bank), Row: row})
 	return true
 }
@@ -343,8 +275,8 @@ func (v *VaultSite) BankBlockedUntil(bank int, now sim.Time) sim.Time {
 	}
 	if v.counted[bank] != k {
 		v.counted[bank] = k
-		v.blackouts++
-		v.vaultTracer().Emit(obs.Event{At: int64(start), Type: obs.EvFaultBankFail,
+		v.inj.counts.BankBlackouts++
+		v.inj.tr.Emit(obs.Event{At: int64(start), Type: obs.EvFaultBankFail,
 			Vault: v.id, Bank: int32(bank), Arg: int64(v.duration)})
 	}
 	return end

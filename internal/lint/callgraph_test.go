@@ -8,7 +8,7 @@ import (
 
 // TestCallGraphEngineDispatch pins the interface-dispatch resolution on
 // the real tree: a vault controller's call to Engine.OnDemandServed
-// must fan out to every registered engine implementation, or shardsafe
+// must fan out to every registered engine implementation, or globalmut
 // and detflow would silently skip the prefetcher zoo.
 func TestCallGraphEngineDispatch(t *testing.T) {
 	if testing.Short() {
@@ -37,7 +37,7 @@ func TestCallGraphEngineDispatch(t *testing.T) {
 	}
 
 	// And the vault package actually carries an interface call edge to
-	// that method, so the dispatch is reachable from shard entry points.
+	// that method, so the dispatch is reachable from vault entry points.
 	vault := sums.ByPkg["camps/internal/vault"]
 	if vault == nil {
 		t.Fatal("no summary for camps/internal/vault")
@@ -55,19 +55,23 @@ func TestCallGraphEngineDispatch(t *testing.T) {
 	}
 }
 
-// TestReachableStopPrunesButReaches pins the boundary semantics the
-// shardsafe analyzer depends on: a stopped symbol is reached (its own
-// facts count) but its callees are not followed.
+// TestReachableStopPrunesButReaches pins Reachable's boundary
+// semantics: a stopped symbol is reached (its own facts count) but its
+// callees are not followed.
 func TestReachableStopPrunesButReaches(t *testing.T) {
-	prog := loadTestProgram(t, filepath.Join("testdata", "prog", "shardsafe", "src"))
+	prog := loadTestProgram(t, filepath.Join("testdata", "prog", "globalmut", "src"))
 	sums := Summarize(prog, nil)
 	g := BuildCallGraph(prog, sums)
 
-	reached := g.Reachable([]string{"camps/internal/vault.(Controller).Submit"}, func(sym string) bool {
+	entries := []string{"camps/internal/sim.Run", "camps/internal/vault.(Controller).Submit"}
+	reached := g.Reachable(entries, func(sym string) bool {
 		return symPkg(sym) == "camps/internal/sim"
 	})
-	if _, ok := reached["camps/internal/sim.Post"]; !ok {
-		t.Error("stopped symbol sim.Post should still be reached")
+	if _, ok := reached["camps/internal/sim.Run"]; !ok {
+		t.Error("stopped symbol sim.Run should still be reached")
+	}
+	if _, ok := reached["camps/internal/knob.Set"]; ok {
+		t.Error("knob.Set is called only from the stopped sim.Run and should not be reached")
 	}
 	if _, ok := reached["camps/internal/tally.Bump"]; !ok {
 		t.Error("tally.Bump should be reached through Submit")

@@ -12,7 +12,7 @@ import (
 
 // factVersion invalidates every cached summary when the facts schema or
 // the summarize walk changes. Bump it whenever either does.
-const factVersion = 1
+const factVersion = 2
 
 // FactCache is the content-addressed on-disk store for package
 // summaries. A package's cache key folds in the facts schema version,

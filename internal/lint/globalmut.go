@@ -8,8 +8,7 @@ import (
 // runtimePkgs are the packages whose exported functions run during a
 // simulation or while serving campaigns: the simulation set plus the
 // public root package and the orchestration layers. Anything one of
-// these can reach executes after init — on the paths the parallel
-// engine will run concurrently.
+// these can reach executes after init.
 var runtimePkgs = func() map[string]bool {
 	m := map[string]bool{
 		"camps":                  true,
@@ -22,14 +21,22 @@ var runtimePkgs = func() map[string]bool {
 	return m
 }()
 
+// vaultPkg is the one package whose every function, exported or not, is
+// an entry point. Vault controllers run as 32 symmetric instances whose
+// unexported methods are driven by engine callbacks (schedule, refresh,
+// fetch completion) rather than by exported calls, so an exported-only
+// entry set would miss most of what a vault executes.
+const vaultPkg = "camps/internal/vault"
+
 // GlobalMut enforces the init-only write discipline for mutable
 // package-level state (the prefetch registry being the canonical case,
 // DESIGN.md §8): package-level variables may be written during init —
 // including the Register-at-init idiom, where an exported Register*
 // function is documented init-only — but never from a simulation or
 // serving path. The analyzer walks the call graph from every exported
-// function of the runtime packages (excluding Register* and init) and
-// flags every package-level write it can reach, naming the path.
+// function of the runtime packages and every function of the vault
+// package (excluding Register* and init) and flags every package-level
+// write it can reach, naming the path.
 var GlobalMut = &Analyzer{
 	Name:       "globalmut",
 	Doc:        "forbid package-level writes reachable from simulation or serving paths (init/Register-at-init only)",
@@ -59,7 +66,7 @@ func runGlobalMut(pass *ProgramPass) {
 		ps := pass.Sums.ByPkg[pkg.Path]
 		for i := range ps.Funcs {
 			fn := &ps.Funcs[i]
-			if fn.Exported && !fn.IsInit && !initOnlySym(fn.Sym) {
+			if (fn.Exported || pkg.Path == vaultPkg) && !fn.IsInit && !initOnlySym(fn.Sym) {
 				entries = append(entries, fn.Sym)
 			}
 		}

@@ -16,7 +16,7 @@ import (
 func All() []*Analyzer {
 	return []*Analyzer{
 		CtxThread, DetFlow, GlobalMut, MapOrder, PfRegister,
-		ShardSafe, SimDeterminism, StatsReg, TickArith,
+		SimDeterminism, StatsReg, TickArith,
 	}
 }
 
@@ -38,7 +38,7 @@ const (
 // positional argument that is a comma-separated list of analyzer
 // names, e.g.
 //
-//	campslint shardsafe,globalmut,detflow ./...
+//	campslint globalmut,detflow ./...
 func Main(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("campslint", flag.ContinueOnError)
 	fs.SetOutput(stderr)

@@ -154,7 +154,7 @@ func TestMainTiming(t *testing.T) {
 	if code != ExitClean {
 		t.Fatalf("-timing run: exit = %d, stderr = %s", code, stderr)
 	}
-	for _, want := range []string{"campslint: load", "facts+callgraph", "shardsafe", "maporder"} {
+	for _, want := range []string{"campslint: load", "facts+callgraph", "globalmut", "maporder"} {
 		if !strings.Contains(stderr, want) {
 			t.Errorf("-timing stderr missing %q:\n%s", want, stderr)
 		}

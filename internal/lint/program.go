@@ -7,8 +7,8 @@ import (
 // Program is the whole-program view of one campslint run: every module
 // package in the dependency closure, type-checked from source with one
 // shared FileSet and unified object identity. The per-package analyzers
-// run over Targets(); the whole-program analyzers (shardsafe, globalmut,
-// detflow) consume the summaries and call graph built from all of Pkgs.
+// run over Targets(); the whole-program analyzers (globalmut, detflow)
+// consume the summaries and call graph built from all of Pkgs.
 type Program struct {
 	Fset *token.FileSet
 	// Pkgs holds every source-checked module package in dependency

@@ -50,11 +50,13 @@ var randConstructors = map[string]bool{
 	"NewChaCha8": true,
 }
 
-// SimDeterminism forbids wall-clock reads and global math/rand use in
-// simulation packages.
+// SimDeterminism forbids wall-clock reads, global math/rand use and
+// goroutine launches in simulation packages. A simulation runs on one
+// goroutine, the event engine's; a `go` statement would make results
+// depend on the Go scheduler.
 var SimDeterminism = &Analyzer{
 	Name:  "simdeterminism",
-	Doc:   "forbid time.Now/time.Since and global math/rand in simulation packages",
+	Doc:   "forbid time.Now/time.Since, global math/rand and go statements in simulation packages",
 	Allow: "wallclock",
 	Run:   runSimDeterminism,
 }
@@ -65,6 +67,12 @@ func runSimDeterminism(pass *Pass) {
 	}
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
+			if g, ok := n.(*ast.GoStmt); ok {
+				pass.Reportf(g.Pos(),
+					"go statement in simulation package %s: the event engine runs a simulation on one goroutine; launching another makes results depend on the scheduler",
+					pass.Pkg.Path())
+				return true
+			}
 			sel, ok := n.(*ast.SelectorExpr)
 			if !ok {
 				return true

@@ -10,9 +10,8 @@ import (
 
 // The facts layer: each package under analysis is distilled into one
 // serializable PackageSummary — per-function call edges, package-level
-// writes, goroutine launches, and nondeterminism sources, each with a
-// resolved source position. The whole-program analyzers (shardsafe,
-// globalmut, detflow) run entirely over these summaries joined by the
+// writes, and nondeterminism sources, each with a resolved source
+// position. The whole-program analyzers (globalmut, detflow) run entirely over these summaries joined by the
 // call graph, so a package whose sources (and dependency closure) are
 // unchanged can reuse its cached summary (see facts.go) without
 // re-walking its syntax trees, and diagnostics in dependency packages
@@ -48,7 +47,6 @@ type FuncSummary struct {
 
 	Calls   []CallSite     `json:"calls,omitempty"`
 	Writes  []GlobalWrite  `json:"writes,omitempty"`
-	Gos     []GoLaunch     `json:"gos,omitempty"`
 	Sources []NondetSource `json:"sources,omitempty"`
 }
 
@@ -68,11 +66,6 @@ type GlobalWrite struct {
 	Target string         `json:"target"`
 	Op     string         `json:"op"`
 	Pos    token.Position `json:"pos"`
-}
-
-// GoLaunch is one `go` statement.
-type GoLaunch struct {
-	Pos token.Position `json:"pos"`
 }
 
 // NondetSource is one direct nondeterminism source: a wall-clock read,
@@ -161,8 +154,6 @@ func summarizeFunc(pkg *Package, fd *ast.FuncDecl) FuncSummary {
 		switch n := n.(type) {
 		case *ast.CallExpr:
 			summarizeCall(pkg, &fs, n)
-		case *ast.GoStmt:
-			fs.Gos = append(fs.Gos, GoLaunch{Pos: pkg.Fset.Position(n.Pos())})
 		case *ast.SelectStmt:
 			comms := 0
 			for _, c := range n.Body.List {
@@ -248,7 +239,7 @@ func recordGlobalWrite(pkg *Package, fs *FuncSummary, lhs ast.Expr, op string) {
 		return
 	}
 	if v.Parent() != v.Pkg().Scope() {
-		return // local, parameter, or receiver: shard-owned by construction
+		return // local, parameter, or receiver: owned by construction
 	}
 	fs.Writes = append(fs.Writes, GlobalWrite{
 		Target: varSym(v),

@@ -1,6 +1,6 @@
 // Golden file for the simdeterminism analyzer: camps/internal/vault is a
-// simulation package, so wall-clock reads and global RNG are findings;
-// owned generators and annotated lines are not.
+// simulation package, so wall-clock reads, global RNG and go statements
+// are findings; owned generators and annotated lines are not.
 package vault
 
 import (
@@ -39,4 +39,8 @@ func AllowedWallClock() time.Time {
 
 func MissingReason() {
 	time.Sleep(time.Millisecond) //lint:allow-wallclock // want `time.Sleep in simulation package` `directive needs a reason`
+}
+
+func BadGoroutine(done chan struct{}) {
+	go close(done) // want `go statement in simulation package camps/internal/vault`
 }

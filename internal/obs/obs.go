@@ -64,10 +64,6 @@ type Registry struct {
 	hists      map[string]*Histogram
 	counterFns map[string][]func() uint64
 	gaugeFns   map[string][]func() float64
-	// histAdd holds per-component histogram instances (OwnHistogram, see
-	// shard.go); snapshots merge them with the shared instance of the
-	// same name.
-	histAdd map[string][]*Histogram
 }
 
 // NewRegistry returns an empty registry.
@@ -175,17 +171,9 @@ func (r *Registry) Snapshot(tag string, atPs int64) Snapshot {
 			s.Gauges[name] += fn()
 		}
 	}
-	if len(r.hists)+len(r.histAdd) > 0 {
-		s.Histograms = make(map[string]HistSummary, len(r.hists)+len(r.histAdd))
-		histNames := make(map[string]bool, len(r.hists)+len(r.histAdd))
-		for name := range r.hists {
-			histNames[name] = true
-		}
-		for name := range r.histAdd {
-			histNames[name] = true
-		}
-		for name := range histNames {
-			h := r.mergedHist(name)
+	if len(r.hists) > 0 {
+		s.Histograms = make(map[string]HistSummary, len(r.hists))
+		for name, h := range r.hists {
 			s.Histograms[name] = HistSummary{
 				Count: h.Count(),
 				Mean:  h.Mean(),
@@ -216,9 +204,6 @@ func (r *Registry) MetricNames() []string {
 		seen[n] = true
 	}
 	for n := range r.hists {
-		seen[n] = true
-	}
-	for n := range r.histAdd {
 		seen[n] = true
 	}
 	names := make([]string, 0, len(seen))

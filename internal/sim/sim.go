@@ -1,9 +1,10 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
 // Time is measured in integer picoseconds (Time). Events scheduled for the
-// same instant fire in the order they were scheduled (FIFO tie-breaking via
-// a monotonically increasing sequence number), which makes every simulation
-// built on this kernel fully deterministic for a given input.
+// same instant fire in a fixed total order — by the time they were
+// scheduled, then by actor tag, then FIFO via a monotonically increasing
+// sequence number — which makes every simulation built on this kernel
+// fully deterministic for a given input.
 //
 // The kernel is allocation-free in steady state: event nodes are pooled on
 // the engine and recycled when they fire or are cancelled, and the pending
@@ -220,47 +221,17 @@ const nodeChunk = 128
 type Engine struct {
 	now       Time
 	seq       uint64
-	heap      []*eventNode // 4-ary min-heap on (when, sched, seq)
+	heap      []*eventNode // 4-ary min-heap on (when, sched, tag, seq)
 	free      []*eventNode
 	fired     uint64
 	halted    bool
 	nonDaemon int
 
-	// curSched/curTag are the sched and tag stamps of the event currently
-	// firing: the engine time at which that event was scheduled and the
-	// actor stream it belongs to. Together with now they name the event's
-	// position in the deterministic total order, which is what
-	// cross-shard mailboxes key replay on (see parallel.go). curTag also
+	// curTag is the actor tag of the event currently firing. It
 	// propagates: events scheduled while an event fires inherit its tag,
 	// so a whole causal stream carries its root's tag without the model
-	// re-stating it at every hop.
-	curSched Time
-	curTag   int32
-
-	// haltWhen/haltSched/haltTag pin the exact position in the event
-	// order at which Halt was first called; the parallel runner's
-	// winddown fires exactly the events that precede it. haltPinned
-	// guards the pin so winddown (which temporarily clears halted to
-	// step) cannot move it.
-	haltWhen   Time
-	haltSched  Time
-	haltTag    int32
-	haltPinned bool
-
-	// Replay mode (parallel runner only): while a cross-shard completion
-	// recorded at virtual time vnow is being re-applied, Now() reports
-	// vnow and new events are stamped as if scheduled then, so callbacks
-	// behave byte-identically to the serial engine that would have run
-	// them in place.
-	replay bool
-	vnow   Time
-	vtag   int32
-
-	// Deferral (parallel runner only): while defer mode is on, ticker
-	// bodies that read cross-shard state run at the next window barrier
-	// instead of mid-window (the events themselves still fire in place).
-	deferOn   bool
-	deferredQ []func()
+	// re-stating it at every hop (see WithTag and nodeLess).
+	curTag int32
 }
 
 // NewEngine returns an empty engine at time zero.
@@ -268,38 +239,8 @@ func NewEngine() *Engine {
 	return &Engine{}
 }
 
-// Now returns the current simulation time. During a cross-shard replay
-// (parallel runner) it reports the virtual time the replayed completion
-// originally executed at, so replayed callbacks observe the same clock
-// they would have seen on the serial engine.
-func (e *Engine) Now() Time {
-	if e.replay {
-		return e.vnow
-	}
-	return e.now
-}
-
-// CurSched returns the sched stamp of the event currently firing (the
-// engine time at which it was scheduled). Paired with Now() it names the
-// firing event's position in the deterministic event order.
-func (e *Engine) CurSched() Time {
-	if e.replay {
-		return e.vnow
-	}
-	return e.curSched
-}
-
-// CurTag returns the actor tag of the event currently firing. Tags refine
-// the event order below (when, sched): two events with the same timestamp
-// and scheduling time but different tags order by tag, which gives
-// cross-shard messages a total order that does not depend on any single
-// engine's sequence counter (see nodeLess and parallel.go).
-func (e *Engine) CurTag() int32 {
-	if e.replay {
-		return e.vtag
-	}
-	return e.curTag
-}
+// Now returns the current simulation time.
+func (e *Engine) Now() Time { return e.now }
 
 // WithTag runs fn with the engine's scheduling tag set to tag: events
 // scheduled inside fn (and, transitively, their whole causal streams)
@@ -308,13 +249,6 @@ func (e *Engine) CurTag() int32 {
 // vault's stream — so that same-instant events of different actors order
 // by actor rather than by scheduling history.
 func (e *Engine) WithTag(tag int32, fn func()) {
-	if e.replay {
-		old := e.vtag
-		e.vtag = tag
-		fn()
-		e.vtag = old
-		return
-	}
 	old := e.curTag
 	e.curTag = tag
 	fn()
@@ -382,27 +316,16 @@ func (e *Engine) AtDaemon(t Time, fn func()) Event {
 }
 
 func (e *Engine) schedule(t Time, fn func(), fnAt func(Time), fnArg func(uint64), arg uint64, daemon bool) Event {
-	tag := e.curTag
-	if e.replay {
-		tag = e.vtag
-	}
-	return e.scheduleTagged(t, tag, fn, fnAt, fnArg, arg, daemon)
+	return e.scheduleTagged(t, e.curTag, fn, fnAt, fnArg, arg, daemon)
 }
 
 func (e *Engine) scheduleTagged(t Time, tag int32, fn func(), fnAt func(Time), fnArg func(uint64), arg uint64, daemon bool) Event {
-	sched := e.now
-	if e.replay {
-		// A replayed completion schedules as of its virtual time: the
-		// stamp (and the in-the-past check) must match what the serial
-		// engine would have done at that instant.
-		sched = e.vnow
-	}
-	if t < sched {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, sched))
+	if t < e.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	nd := e.alloc()
 	nd.when = t
-	nd.sched = sched
+	nd.sched = e.now
 	nd.tag = tag
 	nd.seq = e.seq
 	nd.daemon = daemon
@@ -469,17 +392,7 @@ func (e *Engine) Cancel(ev Event) bool {
 }
 
 // Halt stops Run/RunUntil after the currently executing event returns.
-// The first call pins the engine's exact position in the event order
-// ((now, curSched, curTag)); the parallel runner's winddown uses it to
-// fire, on every shard, exactly the events a serial engine would have
-// fired before halting.
-func (e *Engine) Halt() {
-	if !e.haltPinned {
-		e.haltPinned = true
-		e.haltWhen, e.haltSched, e.haltTag = e.now, e.curSched, e.curTag
-	}
-	e.halted = true
-}
+func (e *Engine) Halt() { e.halted = true }
 
 // Halted reports whether Halt has been called.
 func (e *Engine) Halted() bool { return e.halted }
@@ -495,7 +408,6 @@ func (e *Engine) Step() bool {
 		e.nonDaemon--
 	}
 	e.now = nd.when
-	e.curSched = nd.sched
 	e.curTag = nd.tag
 	when := nd.when
 	fn, fnAt, fnArg, arg := nd.fn, nd.fnAt, nd.fnArg, nd.arg
@@ -556,15 +468,13 @@ func (e *Engine) RunFor(d Time) {
 // any-boxing) and shallower (log4 vs log2 levels), which is worth ~2x on
 // the schedule/step hot path.
 //
-// The first three components are portable across engines; only seq is
-// engine-local. sched survives the move between engines, so the parallel
-// runner can interleave same-instant events from different shards the way
-// one serial engine would have; tag disambiguates the common remaining
-// collision — two independent actors (vaults) scheduling at the same
-// engine time for the same target time — by actor stream rather than by
-// a sequence counter that no longer means anything across engines. seq
-// breaks the final tie, which by construction only arises between events
-// of one actor stream on one engine, where FIFO order is reproducible.
+// Same-instant events order by the engine time they were scheduled at,
+// then by actor tag, and only then FIFO by seq. The tag decides the
+// common collision of two independent actors (vaults) scheduling at the
+// same engine time for the same target time: they fire in actor order,
+// not in the order their streams happened to reach the engine. The
+// committed goldens encode this order, so dropping sched or tag from the
+// key would be a model change, not a refactor.
 
 func nodeLess(a, b *eventNode) bool {
 	if a.when != b.when {
@@ -581,7 +491,7 @@ func nodeLess(a, b *eventNode) bool {
 
 func (e *Engine) heapPush(nd *eventNode) {
 	e.heap = append(e.heap, nd)
-	e.siftUp(len(e.heap) - 1, nd)
+	e.siftUp(len(e.heap)-1, nd)
 }
 
 // siftUp places nd at index i or above, shifting larger ancestors down.

@@ -3,6 +3,7 @@ package sim
 import (
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -636,5 +637,130 @@ func TestHaltWatcherStop(t *testing.T) {
 	eng.Run()
 	if eng.Halted() {
 		t.Fatal("stopped watcher still halted the engine")
+	}
+}
+
+// Clock conversions must survive durations and cycle counts whose
+// intermediate product overflows int64. Regression for the d*den wrap: a
+// 2999 MHz clock has den=2999 after reduction, so the old single-word
+// ToCycles corrupted every conversion past ~51 simulated minutes.
+func TestClockConversionExtremeDurations(t *testing.T) {
+	c := NewClock(2999)
+	// One simulated hour: 3.6e15 ps. d*den ~ 1.08e19 overflows int64.
+	hour := Time(3_600_000_000_000_000)
+	wantCycles := int64(10_796_400_000_000) // 3.6e15 ps * 2999 MHz / 1e6
+	if got := c.ToCycles(hour); got != wantCycles {
+		t.Fatalf("ToCycles(1h at 2999MHz) = %d, want %d", got, wantCycles)
+	}
+	if got := c.ToCyclesCeil(hour); got != wantCycles {
+		t.Fatalf("ToCyclesCeil(1h at 2999MHz) = %d, want %d (exact edge)", got, wantCycles)
+	}
+	if got := c.ToCyclesCeil(hour + 1); got != wantCycles+1 {
+		t.Fatalf("ToCyclesCeil(1h+1ps) = %d, want %d", got, wantCycles+1)
+	}
+	if got := c.Cycles(wantCycles); got != hour {
+		t.Fatalf("Cycles(%d) = %d, want %d", wantCycles, got, hour)
+	}
+	// Round-trip consistency deep into the representable range: floor
+	// then ceil must bracket the instant for a non-integral period.
+	cpu := NewClock(3000) // 1000/3 ps period
+	for _, d := range []Time{1 << 40, 1 << 50, 1 << 60, 1<<62 + 12345} {
+		n := cpu.ToCycles(d)
+		if at := cpu.Cycles(n); at > d {
+			t.Fatalf("Cycles(ToCycles(%d)) = %d, past the instant", d, at)
+		}
+		if edge := cpu.NextEdge(d); edge < d {
+			t.Fatalf("NextEdge(%d) = %d, before the instant", d, edge)
+		}
+	}
+}
+
+func TestClockConversionOverflowPanics(t *testing.T) {
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "overflows") {
+			t.Fatalf("unrepresentable conversion did not panic with overflow (got %q)", msg)
+		}
+	}()
+	// Quotient exceeds int64: ~9.2e18 cycles * (1e6/2999) ps/cycle.
+	NewClock(2999).Cycles(1<<63 - 1)
+}
+
+func TestRunForNegativePanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("RunFor(-1) did not panic")
+		}
+	}()
+	NewEngine().RunFor(-1)
+}
+
+func TestRunUntilPastDeadlineIsNoop(t *testing.T) {
+	eng := NewEngine()
+	fired := false
+	eng.At(5, func() { fired = true })
+	eng.RunFor(10)
+	if !fired || eng.Now() != 10 {
+		t.Fatalf("setup: fired=%v now=%v", fired, eng.Now())
+	}
+	eng.At(15, func() { t.Fatal("event fired despite past deadline") })
+	eng.RunUntil(3) // explicitly documented no-op
+	if eng.Now() != 10 {
+		t.Fatalf("RunUntil(past) moved the clock to %v", eng.Now())
+	}
+}
+
+// Same-instant events must fire in scheduling-time order before
+// falling back to sequence order: on one engine that is identical to
+// pure FIFO (the clock never runs backwards while scheduling).
+func TestSameInstantOrderBySchedThenSeq(t *testing.T) {
+	eng := NewEngine()
+	var order []string
+	eng.At(20, func() { order = append(order, "sched0-a") }) // scheduled at t=0
+	eng.At(10, func() {
+		eng.At(20, func() { order = append(order, "sched10") })
+	})
+	eng.At(20, func() { order = append(order, "sched0-b") })
+	eng.Run()
+	want := "sched0-a,sched0-b,sched10"
+	if got := strings.Join(order, ","); got != want {
+		t.Fatalf("same-instant order = %s, want %s", got, want)
+	}
+}
+
+// Same-instant events with equal (when, sched) fire in tag order, not in
+// the order they were scheduled, and an event scheduled from inside a
+// tagged event inherits that tag. The committed goldens encode this
+// order: it is how two vaults' same-instant events are ordered.
+func TestSameInstantOrderByTag(t *testing.T) {
+	eng := NewEngine()
+	var order []string
+	log := func(s string) func() { return func() { order = append(order, s) } }
+
+	// All scheduled at t=0 for t=10, in seq order 3, 1, 2, untagged.
+	eng.AtTag(10, 3, log("tag3"))
+	eng.AtTag(10, 1, log("tag1"))
+	eng.WithTag(2, func() { eng.At(10, log("tag2")) })
+	eng.At(10, log("tag0"))
+
+	// A tag-7 event at t=20 schedules children for t=30 (all sched=20).
+	eng.AtTag(20, 7, func() {
+		eng.At(30, log("inherit7"))        // inherits 7
+		eng.AtTag(30, 2, log("explicit2")) // later seq, lower tag: fires first
+		eng.WithTag(1, func() {
+			eng.At(30, func() {
+				order = append(order, "with1")
+				eng.At(40, log("grand1")) // inherits 1 two hops down
+			})
+		})
+		eng.At(30, func() { // WithTag restored the parent's 7
+			order = append(order, "restored7")
+			eng.AtTag(40, 0, log("grand0")) // later seq, lower tag than grand1
+		})
+	})
+	eng.Run()
+	want := "tag0,tag1,tag2,tag3,with1,explicit2,inherit7,restored7,grand0,grand1"
+	if got := strings.Join(order, ","); got != want {
+		t.Fatalf("same-instant order = %s, want %s", got, want)
 	}
 }

@@ -10,7 +10,6 @@ type Ticker struct {
 	ev       Event
 	stopped  bool
 	daemon   bool
-	inline   bool   // run fn in place even under barrier deferral
 	tick     func() // rearm closure, built once
 }
 
@@ -37,15 +36,7 @@ func newTicker(eng *Engine, interval Time, fn func(), daemon bool) *Ticker {
 		if t.stopped {
 			return
 		}
-		if t.eng.deferOn && !t.inline {
-			// Parallel run: the tick event keeps its place in the event
-			// order (so event counts match the serial engine), but the
-			// body — which typically reads state owned by other shards —
-			// runs at the next window barrier, when every shard is parked.
-			t.eng.deferBody(t.fn)
-		} else {
-			t.fn()
-		}
+		t.fn()
 		if !t.stopped {
 			t.arm()
 		}
@@ -82,9 +73,5 @@ func NewHaltWatcher(eng *Engine, interval Time, cond func() bool) *Ticker {
 			t.Stop()
 		}
 	}, true)
-	// The watcher must run in place even under the parallel runner's
-	// barrier deferral: cond is thread-safe by contract (typically a
-	// context check) and Halt must take effect mid-window.
-	t.inline = true
 	return t
 }

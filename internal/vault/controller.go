@@ -162,9 +162,8 @@ type pendingFill struct {
 // carries TagInternal. The tags make same-instant scheduling collisions
 // between different vaults — routine, since vaults are deliberately
 // symmetric — order by vault rather than by an engine-local sequence
-// counter, which is what lets a sharded run reproduce the serial event
-// order exactly (see internal/sim/parallel.go). Tag 0 is everything
-// outside the vaults.
+// counter (see the event key in internal/sim). The committed goldens
+// encode this order. Tag 0 is everything outside the vaults.
 func TagSubmit(id int) int32   { return int32(2*id + 1) }
 func TagInternal(id int) int32 { return int32(2*id + 2) }
 
@@ -274,18 +273,9 @@ func (c *Controller) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 	reg.GaugeFunc("vault.read_queue", func() float64 { return float64(len(c.readQ)) })
 	reg.GaugeFunc("vault.write_queue", func() float64 { return float64(len(c.writeQ)) })
 	reg.GaugeFunc("vault.fetch_queue", func() float64 { return float64(len(c.fetchQ)) })
-	// Own instance rather than the shared per-name histogram: under the
-	// parallel engine each vault observes from its own shard, so the
-	// instances must not share memory. Snapshots merge all instances of
-	// the name, so the reported distribution is unchanged.
-	c.obsLat = reg.OwnHistogram("vault.service_latency_ps")
+	c.obsLat = reg.Histogram("vault.service_latency_ps")
 	c.buffer.Instrument(reg)
 }
-
-// SetTracer redirects the controller's structured-event emissions.
-// The parallel runner points each vault at its shard's private ring;
-// the rings merge canonically when the run ends (obs.MergeShardTracers).
-func (c *Controller) SetTracer(tr *obs.Tracer) { c.tr = tr }
 
 // emit publishes one trace event stamped with this vault's id.
 func (c *Controller) emit(t obs.EventType, at sim.Time, bank int, row, arg int64) {
