@@ -11,13 +11,20 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: build vet test race orchestration observability serve serve-smoke lint lint-tools fuzz-smoke fault-smoke verify bench bench-json bench-check figures clean
+.PHONY: build vet fmt-check test race orchestration observability serve serve-smoke lint lint-tools fuzz-smoke fault-smoke verify bench bench-json bench-check figures clean
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# Every tracked Go file must be gofmt-clean. The file list comes from git
+# so untracked build trees (the benchmark's .bench_build/ module cache)
+# are never scanned.
+fmt-check:
+	@out="$$(gofmt -l $$(git ls-files '*.go'))"; \
+	if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -93,7 +100,7 @@ fault-smoke:
 		-faults 'linkcrc=1e-3,stall=1e-4,poison=2e-3,bankfail=100us,bankfor=2us' \
 		-check -timeout 10s >/dev/null
 
-verify: build vet race orchestration observability serve lint fault-smoke serve-smoke
+verify: build vet fmt-check race orchestration observability serve lint fault-smoke serve-smoke
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...

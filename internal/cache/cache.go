@@ -2,6 +2,13 @@
 // private L1 and L2 per core and one shared L3, all with 64-byte lines,
 // true-LRU set associativity, and write-back/write-allocate semantics.
 //
+// Lines are never invalidated, and a miss fills the first free way before
+// it evicts, so each set's valid lines occupy a prefix of its ways: a
+// probe stops at the first invalid way. LRU order is kept with per-line
+// recency stamps drawn from a per-set clock, so a hit updates one byte;
+// when a set evicts, all its ways are valid and "evict the smallest stamp"
+// picks the same victim as a full recency ranking.
+//
 // The caches are functional models with timing metadata: an access
 // resolves, in zero simulated time, to the level that services it plus the
 // cumulative lookup latency; misses past L3 and dirty L3 evictions are the
@@ -22,10 +29,12 @@ type Level struct {
 	sets      int
 	ways      int
 	lineShift uint
+	setBits   uint // log2(sets): the line-address bits that select the set
 	setMask   uint64
 	tags      []uint64 // sets*ways
 	state     []uint8  // bit0 valid, bit1 dirty
-	lru       []uint8  // LRU rank within the set; 0 = LRU, ways-1 = MRU
+	stamp     []uint8  // recency stamp per line; larger = more recent
+	clock     []uint8  // per set: the stamp of its most recent touch
 	hitLat    int64
 
 	hits   stats.Counter
@@ -43,21 +52,31 @@ const (
 	stPref  uint8 = 1 << 2 // installed by a core-side prefetch, unused yet
 )
 
+// maxWays bounds associativity so a re-ranked set (stamps 0..ways-1)
+// always leaves its clock room for the next touch. config.Validate
+// rejects larger configurations.
+const maxWays = 255
+
 // NewLevel builds a cache level from its configuration.
 func NewLevel(cfg config.CacheLevel) *Level {
 	sets := int(cfg.SizeBytes) / cfg.Ways / cfg.LineBytes
 	if sets <= 0 || sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("cache: set count %d must be a positive power of two", sets))
 	}
+	if cfg.Ways > maxWays {
+		panic(fmt.Sprintf("cache: %d ways exceed the %d-way limit of 8-bit recency stamps", cfg.Ways, maxWays))
+	}
 	n := sets * cfg.Ways
 	return &Level{
 		sets:      sets,
 		ways:      cfg.Ways,
 		lineShift: uint(bits.TrailingZeros64(uint64(cfg.LineBytes))),
+		setBits:   uint(bits.TrailingZeros64(uint64(sets))),
 		setMask:   uint64(sets - 1),
 		tags:      make([]uint64, n),
 		state:     make([]uint8, n),
-		lru:       make([]uint8, n),
+		stamp:     make([]uint8, n),
+		clock:     make([]uint8, sets),
 		hitLat:    cfg.HitLatency,
 	}
 }
@@ -79,7 +98,7 @@ func (l *Level) Writebacks() uint64 { return l.wbacks.Value() }
 
 func (l *Level) index(addr uint64) (set int, lineTag uint64) {
 	line := addr >> l.lineShift
-	return int(line & l.setMask), line >> uint(bits.TrailingZeros64(uint64(l.sets)))
+	return int(line & l.setMask), line >> l.setBits
 }
 
 // Lookup probes for addr; on a hit it refreshes LRU and, for writes, sets
@@ -89,7 +108,10 @@ func (l *Level) Lookup(addr uint64, write bool) bool {
 	base := set * l.ways
 	for w := 0; w < l.ways; w++ {
 		i := base + w
-		if l.state[i]&stValid != 0 && l.tags[i] == tag {
+		if l.state[i]&stValid == 0 {
+			break // the set's valid lines end here
+		}
+		if l.tags[i] == tag {
 			l.touch(set, w)
 			if write {
 				l.state[i] |= stDirty
@@ -112,7 +134,10 @@ func (l *Level) Contains(addr uint64) bool {
 	base := set * l.ways
 	for w := 0; w < l.ways; w++ {
 		i := base + w
-		if l.state[i]&stValid != 0 && l.tags[i] == tag {
+		if l.state[i]&stValid == 0 {
+			return false
+		}
+		if l.tags[i] == tag {
 			return true
 		}
 	}
@@ -142,39 +167,33 @@ func (l *Level) InstallPrefetched(addr uint64) Victim {
 func (l *Level) install(addr uint64, dirty, prefetched bool) Victim {
 	set, tag := l.index(addr)
 	base := set * l.ways
-	// Already present: refresh (a prefetch overlay never downgrades the
-	// line's state).
+	// One pass over the valid prefix: the line itself if present, else the
+	// first free way, else the LRU (smallest-stamp) way. Stamps within a
+	// set are distinct, so the LRU way is unique.
+	way, lru := -1, base
 	for w := 0; w < l.ways; w++ {
 		i := base + w
-		if l.state[i]&stValid != 0 && l.tags[i] == tag {
+		if l.state[i]&stValid == 0 {
+			way = w
+			break
+		}
+		if l.tags[i] == tag {
+			// Already present: refresh (a prefetch overlay never
+			// downgrades the line's state).
 			l.touch(set, w)
 			if dirty {
 				l.state[i] |= stDirty
 			}
 			return Victim{}
 		}
-	}
-	// Free way?
-	way := -1
-	for w := 0; w < l.ways; w++ {
-		if l.state[base+w]&stValid == 0 {
-			way = w
-			// A never-used way carries a stale LRU rank; neutralize it so
-			// touch() does not decrement other lines spuriously.
-			l.lru[base+w] = 0xFF
-			break
+		if l.stamp[i] < l.stamp[lru] {
+			lru = i
 		}
 	}
 	var victim Victim
 	if way < 0 {
-		// Evict the LRU way.
-		for w := 0; w < l.ways; w++ {
-			if l.lru[base+w] == 0 {
-				way = w
-				break
-			}
-		}
-		i := base + way
+		way = lru - base
+		i := lru
 		victim = Victim{
 			Addr:  l.reconstruct(set, l.tags[i]),
 			Dirty: l.state[i]&stDirty != 0,
@@ -206,27 +225,46 @@ func (l *Level) PrefetchUseful() uint64 { return l.prefUseful.Value() }
 
 // reconstruct rebuilds a line's base address from set and tag.
 func (l *Level) reconstruct(set int, tag uint64) uint64 {
-	line := tag<<uint(bits.TrailingZeros64(uint64(l.sets))) | uint64(set)
+	line := tag<<l.setBits | uint64(set)
 	return line << l.lineShift
 }
 
-// touch makes way w of set the MRU entry.
+// touch makes way w of set the MRU entry by giving it the set's next
+// clock value.
 func (l *Level) touch(set, w int) {
+	c := l.clock[set]
+	if c == 0xFF {
+		c = l.rerank(set)
+	}
+	c++
+	l.clock[set] = c
+	l.stamp[set*l.ways+w] = c
+}
+
+// rerank compresses the set's valid stamps to 0..k-1 in recency order
+// before its clock wraps, returning the new clock (the largest stamp). An
+// insertion sort of way indices by stamp keeps it allocation-free; a set
+// holds at most maxWays lines.
+func (l *Level) rerank(set int) uint8 {
 	base := set * l.ways
-	old := l.lru[base+w]
-	for k := 0; k < l.ways; k++ {
-		if l.state[base+k]&stValid != 0 && l.lru[base+k] > old {
-			l.lru[base+k]--
+	var order [maxWays]uint8
+	k := 0
+	for w := 0; w < l.ways; w++ {
+		if l.state[base+w]&stValid == 0 {
+			continue
 		}
-	}
-	// MRU rank is the number of other valid lines in the set.
-	valid := 0
-	for k := 0; k < l.ways; k++ {
-		if l.state[base+k]&stValid != 0 && k != w {
-			valid++
+		j := k
+		for j > 0 && l.stamp[base+int(order[j-1])] > l.stamp[base+w] {
+			order[j] = order[j-1]
+			j--
 		}
+		order[j] = uint8(w)
+		k++
 	}
-	l.lru[base+w] = uint8(valid)
+	for r := 0; r < k; r++ {
+		l.stamp[base+int(order[r])] = uint8(r)
+	}
+	return uint8(k - 1)
 }
 
 // Hierarchy is the full per-chip cache stack.

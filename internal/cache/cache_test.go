@@ -2,7 +2,6 @@ package cache
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 
 	"camps/internal/config"
@@ -96,31 +95,161 @@ func TestVictimAddressReconstruction(t *testing.T) {
 	}
 }
 
-// Property: per-set LRU ranks of valid lines always form a permutation.
-func TestLevelLRUPermutationInvariant(t *testing.T) {
-	l := tinyLevel(4)
-	rng := rand.New(rand.NewSource(8))
-	for i := 0; i < 20000; i++ {
-		addr := uint64(rng.Intn(64)) * 64
-		if rng.Intn(2) == 0 {
-			l.Lookup(addr, rng.Intn(4) == 0)
-		} else {
-			l.Install(addr, rng.Intn(4) == 0)
+// refLine is one resident line of the reference model.
+type refLine struct {
+	addr        uint64
+	dirty, pref bool
+}
+
+// refLevel is a deliberately naive true-LRU cache: each set is a slice in
+// recency order, most recent first, and every access moves its line to
+// the front.
+type refLevel struct {
+	sets, ways int
+	lines      [][]refLine
+	useful     uint64
+}
+
+func newRefLevel(sets, ways int) *refLevel {
+	return &refLevel{sets: sets, ways: ways, lines: make([][]refLine, sets)}
+}
+
+func (r *refLevel) find(addr uint64) (set, pos int) {
+	set = int(addr/64) % r.sets
+	for i, ln := range r.lines[set] {
+		if ln.addr == addr {
+			return set, i
 		}
-		for set := 0; set < l.Sets(); set++ {
-			var ranks []int
-			for w := 0; w < l.ways; w++ {
-				if l.state[set*l.ways+w]&stValid != 0 {
-					ranks = append(ranks, int(l.lru[set*l.ways+w]))
+	}
+	return set, -1
+}
+
+// toFront moves position pos of set to the front and returns the line.
+func (r *refLevel) toFront(set, pos int) *refLine {
+	s := r.lines[set]
+	ln := s[pos]
+	copy(s[1:pos+1], s[:pos])
+	s[0] = ln
+	return &s[0]
+}
+
+func (r *refLevel) lookup(addr uint64, write bool) bool {
+	set, pos := r.find(addr)
+	if pos < 0 {
+		return false
+	}
+	ln := r.toFront(set, pos)
+	ln.dirty = ln.dirty || write
+	if ln.pref {
+		ln.pref = false
+		r.useful++
+	}
+	return true
+}
+
+func (r *refLevel) install(addr uint64, dirty, pref bool) Victim {
+	set, pos := r.find(addr)
+	if pos >= 0 {
+		ln := r.toFront(set, pos)
+		ln.dirty = ln.dirty || dirty
+		return Victim{}
+	}
+	var v Victim
+	s := r.lines[set]
+	if len(s) == r.ways {
+		old := s[len(s)-1]
+		v = Victim{Addr: old.addr, Dirty: old.dirty, Valid: true}
+		s = s[:len(s)-1]
+	}
+	r.lines[set] = append([]refLine{{addr: addr, dirty: dirty, pref: pref}}, s...)
+	return v
+}
+
+// TestLevelMatchesReferenceLRU drives a Level and the naive move-to-front
+// model with the same random Lookup/Install/InstallPrefetched streams and
+// requires every hit result and every victim (address, dirty and valid
+// flags) to agree. Every set sees thousands of touches, far past the 255
+// its clock holds before it must re-rank; in the one-set geometries all
+// 40000 operations hit the same set.
+func TestLevelMatchesReferenceLRU(t *testing.T) {
+	for _, ways := range []int{1, 2, 4, 16} {
+		for _, sets := range []int{1, 4} {
+			l := NewLevel(config.CacheLevel{
+				SizeBytes: int64(sets * ways * 64), Ways: ways, LineBytes: 64, HitLatency: 1,
+			})
+			ref := newRefLevel(sets, ways)
+			rng := rand.New(rand.NewSource(int64(ways*100 + sets)))
+			// Enough distinct lines to overflow every set, few enough that
+			// hits are common.
+			pool := 2 * sets * ways
+			for i := 0; i < 40000; i++ {
+				addr := uint64(rng.Intn(pool)) * 64
+				write := rng.Intn(4) == 0
+				switch op := rng.Intn(3); op {
+				case 0:
+					if got, want := l.Lookup(addr, write), ref.lookup(addr, write); got != want {
+						t.Fatalf("%d-way %d-set op %d: Lookup(%#x) = %v, reference %v", ways, sets, i, addr, got, want)
+					}
+				case 1, 2:
+					var got, want Victim
+					if op == 1 {
+						got, want = l.Install(addr, write), ref.install(addr, write, false)
+					} else {
+						got, want = l.InstallPrefetched(addr), ref.install(addr, false, true)
+					}
+					if got != want {
+						t.Fatalf("%d-way %d-set op %d: install(%#x) evicted %+v, reference %+v", ways, sets, i, addr, got, want)
+					}
+				}
+				probe := uint64(rng.Intn(pool)) * 64
+				if _, pos := ref.find(probe); l.Contains(probe) != (pos >= 0) {
+					t.Fatalf("%d-way %d-set op %d: Contains(%#x) = %v, reference %v", ways, sets, i, probe, !(pos >= 0), pos >= 0)
 				}
 			}
-			sort.Ints(ranks)
-			for j, r := range ranks {
-				if r != j {
-					t.Fatalf("set %d LRU ranks not a permutation: %v", set, ranks)
+			if l.PrefetchUseful() != ref.useful {
+				t.Fatalf("%d-way %d-set: %d useful prefetches, reference %d", ways, sets, l.PrefetchUseful(), ref.useful)
+			}
+		}
+	}
+}
+
+// TestLevelSteadyStateZeroAlloc warms a Level, then drives hits, installs
+// and evictions long enough for every set clock to wrap many times, and
+// requires zero allocations over the whole run.
+func TestLevelSteadyStateZeroAlloc(t *testing.T) {
+	l := tinyLevel(16)
+	rng := rand.New(rand.NewSource(3))
+	addrs := make([]uint64, 4096)
+	for i := range addrs {
+		addrs[i] = uint64(rng.Intn(128)) * 64
+	}
+	run := func() {
+		for i, a := range addrs {
+			if !l.Lookup(a, i%5 == 0) {
+				if i%3 == 0 {
+					l.InstallPrefetched(a)
+				} else {
+					l.Install(a, i%7 == 0)
 				}
 			}
 		}
+	}
+	run()
+	hits, evicts := l.Hits(), l.evicts.Value()
+	// One AllocsPerRun run of many passes reports the exact total; a
+	// per-pass mean is truncated to an integer.
+	const passes = 50
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < passes; i++ {
+			run()
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%d passes allocated %.0f times, want 0", passes, allocs)
+	}
+	// 4 sets, so each set sees thousands of touches: far past a clock wrap.
+	if l.Hits()-hits < uint64(passes*len(addrs)/4) || l.evicts.Value() == evicts {
+		t.Fatalf("run did not reach steady state: %d hits, %d evictions", l.Hits()-hits, l.evicts.Value()-evicts)
 	}
 }
 

@@ -347,6 +347,9 @@ func (c Config) Validate() error {
 	}{{"L1", c.L1}, {"L2", c.L2}, {"L3", c.L3}} {
 		check(lvl.l.SizeBytes > 0, "config: %s size must be positive", lvl.name)
 		check(lvl.l.Ways > 0, "config: %s ways must be positive", lvl.name)
+		// The cache's 8-bit recency stamps need room for one more touch
+		// after a set of every way is re-ranked to 0..ways-1.
+		check(lvl.l.Ways <= 255, "config: %s has %d ways; at most 255 are supported", lvl.name, lvl.l.Ways)
 		check(lvl.l.LineBytes > 0 && isPow2(int64(lvl.l.LineBytes)),
 			"config: %s line size must be a positive power of two", lvl.name)
 		if lvl.l.Ways > 0 && lvl.l.LineBytes > 0 {

@@ -99,6 +99,7 @@ func TestValidateCatchesErrors(t *testing.T) {
 		{"zero sisb degree", func(c *Config) { c.SISB.Degree = 0 }, "SISB"},
 		{"zero bo rounds", func(c *Config) { c.BestOffset.RoundMax = 0 }, "best-offset"},
 		{"zero hybrid epoch", func(c *Config) { c.Hybrid.EpochRequests = 0 }, "hybrid"},
+		{"too many ways", func(c *Config) { c.L3 = CacheLevel{SizeBytes: 256 * 64, Ways: 256, LineBytes: 64, MSHRs: 4} }, "at most 255"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -25,11 +25,11 @@ func FuzzStoreRepair(f *testing.F) {
 	}
 	line = append(line, '\n')
 
-	f.Add([]byte{})                                   // empty store
-	f.Add(line)                                       // one complete record
+	f.Add([]byte{})                                        // empty store
+	f.Add(line)                                            // one complete record
 	f.Add(append(append([]byte{}, line...), line[:20]...)) // torn append
-	f.Add([]byte("{\"key\":\"\"}\n"))                 // keyless record
-	f.Add([]byte("not json at all\n{\"key\":\"x\"}\n")) // corruption before the end
+	f.Add([]byte("{\"key\":\"\"}\n"))                      // keyless record
+	f.Add([]byte("not json at all\n{\"key\":\"x\"}\n"))    // corruption before the end
 	f.Add([]byte("\n\n\n"))
 	f.Add(bytes.Repeat([]byte("{"), 64))
 

@@ -255,6 +255,10 @@ func (v *VaultSite) PoisonInsert(bank int, row int64, at sim.Time) bool {
 	return true
 }
 
+// Blackouts reports whether the site arms bank blackout windows, so that
+// BankBlockedUntil can block a bank (nil-safe).
+func (v *VaultSite) Blackouts() bool { return v != nil && v.period > 0 }
+
 // BankBlockedUntil reports the end of the unavailability window covering
 // bank at time now, or 0 when the bank is available. Window placement is
 // pure arithmetic over the pre-drawn phase, so the answer does not depend

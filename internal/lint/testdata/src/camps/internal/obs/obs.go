@@ -10,8 +10,8 @@ func (c *Counter) Value() uint64 { return c.v }
 
 type Gauge struct{ v float64 }
 
-func (g *Gauge) Set(v float64)   { g.v = v }
-func (g *Gauge) Value() float64  { return g.v }
+func (g *Gauge) Set(v float64)  { g.v = v }
+func (g *Gauge) Value() float64 { return g.v }
 
 type Histogram struct{ n uint64 }
 

@@ -15,7 +15,7 @@ func BadWallClock() time.Duration {
 }
 
 func BadTimer() {
-	_ = time.After(time.Second)          // want `time.After in simulation package`
+	_ = time.After(time.Second)            // want `time.After in simulation package`
 	time.AfterFunc(time.Second, func() {}) // want `time.AfterFunc in simulation package`
 }
 

@@ -13,6 +13,8 @@ package vault
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"camps/internal/config"
 	"camps/internal/dram"
@@ -95,9 +97,20 @@ type Controller struct {
 	writeCount []int
 	storeCount []int
 	fetchCount []int
+	// workMask has bit b set while bank b has any read, write, store or
+	// fetch queued (noteWork keeps it in step with the counts). schedule()
+	// dispatches only the idle banks it names: an idle bank with no work,
+	// no refresh due and no blackout armed is a no-op in startJob.
+	workMask uint64
+	// scanAll makes schedule() visit every idle bank: set when the fault
+	// site arms blackout windows (BankBlockedUntil counts windows and
+	// emits trace events on every call) or when the banks outnumber the
+	// mask's bits.
+	scanAll bool
 
 	timing        dram.Timing
 	nextRefresh   []sim.Time
+	refreshMin    sim.Time // min(nextRefresh), maintained by runRefresh
 	refreshWakeAt sim.Time // time of the vault's single armed refresh wake
 	draining      bool     // write-drain mode latch
 
@@ -189,6 +202,7 @@ func New(eng *sim.Engine, cfg config.Config, scheme prefetch.Scheme, id int) *Co
 		writeCount:  make([]int, nbanks),
 		storeCount:  make([]int, nbanks),
 		fetchCount:  make([]int, nbanks),
+		scanAll:     nbanks > 64,
 	}
 	c.scheduleFn = c.schedule
 	c.fillFn = c.landFill
@@ -215,7 +229,8 @@ func New(eng *sim.Engine, cfg config.Config, scheme prefetch.Scheme, id int) *Co
 	// (daemon: refresh alone must not keep the simulation running);
 	// schedule() re-arms it as deadlines advance. Bank 0 holds the minimum
 	// of the staggered initial deadlines.
-	c.refreshWakeAt = c.nextRefresh[0]
+	c.refreshMin = c.nextRefresh[0]
+	c.refreshWakeAt = c.refreshMin
 	eng.WithTag(TagInternal(id), func() {
 		c.eng.AtDaemon(c.refreshWakeAt, c.scheduleFn)
 	})
@@ -284,7 +299,21 @@ func (c *Controller) emit(t obs.EventType, at sim.Time, bank int, row, arg int64
 
 // SetFaults attaches this vault's fault-injection site (nil detaches).
 // Call before the simulation starts.
-func (c *Controller) SetFaults(site *fault.VaultSite) { c.faults = site }
+func (c *Controller) SetFaults(site *fault.VaultSite) {
+	c.faults = site
+	c.scanAll = len(c.banks) > 64 || site.Blackouts()
+}
+
+// noteWork recomputes bank b's workMask bit from its queued-work counts.
+// Call it after every change to a count. Banks past the mask's 64 bits
+// run with scanAll set and leave the mask alone.
+func (c *Controller) noteWork(b int) {
+	if c.readCount[b]|c.writeCount[b]|c.storeCount[b]|c.fetchCount[b] != 0 {
+		c.workMask |= 1 << uint(b)
+	} else {
+		c.workMask &^= 1 << uint(b)
+	}
+}
 
 // AttachAttribution connects the vault to the attribution layer: demand
 // spans accrue cause segments here, and every prefetch's fate is
@@ -442,12 +471,14 @@ func (c *Controller) Submit(req Request) {
 		c.complete(req, now, now)
 		c.writeQ = append(c.writeQ, p)
 		c.writeCount[req.Bank]++
+		c.noteWork(req.Bank)
 		if len(c.writeQ) > c.stats.MaxWriteQueue {
 			c.stats.MaxWriteQueue = len(c.writeQ)
 		}
 	} else {
 		c.readQ = append(c.readQ, p)
 		c.readCount[req.Bank]++
+		c.noteWork(req.Bank)
 		if len(c.readQ) > c.stats.MaxReadQueue {
 			c.stats.MaxReadQueue = len(c.readQ)
 		}
@@ -501,6 +532,7 @@ func (c *Controller) enqueueFetches(fs []prefetch.Fetch) {
 			copy(c.fetchQ, c.fetchQ[1:])
 			c.fetchQ = c.fetchQ[:len(c.fetchQ)-1]
 			c.fetchCount[old.Bank]--
+			c.noteWork(old.Bank)
 			c.stats.FetchesDropped.Inc()
 			// Squeezed out of the queue by bank pressure before it could
 			// ever become resident: a conflict victim in the ledger.
@@ -512,6 +544,7 @@ func (c *Controller) enqueueFetches(fs []prefetch.Fetch) {
 		}
 		c.fetchQ = append(c.fetchQ, f)
 		c.fetchCount[f.Bank]++
+		c.noteWork(f.Bank)
 		if len(c.fetchQ) > c.stats.MaxFetchQueue {
 			c.stats.MaxFetchQueue = len(c.fetchQ)
 		}
@@ -536,26 +569,42 @@ func (c *Controller) updateDrainMode() {
 // refresh completions are daemon events (refresh re-arms itself forever
 // and must not keep the simulation alive), so queued work cannot rely on
 // them for a wake-up.
+//
+// Banks are visited in index order. Unless a refresh is due or scanAll is
+// set, only banks in workMask are visited: every other idle bank would be a
+// no-op in startJob. The mask is re-read after each job because a job can
+// queue work for a later bank (a prefetch directive), which the full scan
+// would also have started.
 func (c *Controller) schedule() {
 	now := c.eng.Now()
 	c.updateDrainMode()
-	for b := range c.banks {
-		if c.busy[b] > now {
-			continue
+	if c.scanAll || now >= c.refreshMin {
+		for b := range c.banks {
+			if c.busy[b] > now {
+				continue
+			}
+			c.startJob(b, now)
 		}
-		c.startJob(b, now)
+	} else {
+		for m := c.workMask; m != 0; {
+			b := bits.TrailingZeros64(m)
+			if c.busy[b] <= now {
+				c.startJob(b, now)
+			}
+			m = c.workMask &^ (uint64(1)<<uint(b+1) - 1)
+		}
 	}
 	c.armRefreshWake(now)
 	if !c.PendingWork() {
 		return
 	}
-	earliest := sim.Time(-1)
-	for b := range c.banks {
-		if c.busy[b] > now && (earliest < 0 || c.busy[b] < earliest) {
-			earliest = c.busy[b]
+	earliest := sim.Time(math.MaxInt64)
+	for _, t := range c.busy {
+		if t > now && t < earliest {
+			earliest = t
 		}
 	}
-	if earliest < 0 {
+	if earliest == math.MaxInt64 {
 		return // work exists but targets idle banks: a job just started will wake us
 	}
 	if c.retryArmed && c.retryAt <= earliest {
@@ -576,14 +625,17 @@ func (c *Controller) schedule() {
 func (c *Controller) armRefreshWake(now sim.Time) {
 	// Earliest deadline still in the future: already-due banks are either
 	// refreshing or busy, and their release wakes re-enter schedule().
-	earliest := sim.Time(-1)
-	for _, t := range c.nextRefresh {
-		if t > now && (earliest < 0 || t < earliest) {
-			earliest = t
+	earliest := c.refreshMin
+	if earliest <= now {
+		earliest = -1
+		for _, t := range c.nextRefresh {
+			if t > now && (earliest < 0 || t < earliest) {
+				earliest = t
+			}
 		}
-	}
-	if earliest < 0 {
-		return
+		if earliest < 0 {
+			return
+		}
 	}
 	if c.refreshWakeAt > now && c.refreshWakeAt <= earliest {
 		return // the armed wake already covers the deadline
@@ -666,6 +718,7 @@ func (c *Controller) takeRead(b int, now sim.Time) (pending, bool) {
 		p := c.readQ[idx]
 		c.readQ = append(c.readQ[:idx], c.readQ[idx+1:]...)
 		c.readCount[b]--
+		c.noteWork(b)
 		// Service-time buffer re-check: a fetch may have landed the row in
 		// the buffer after this request was queued.
 		id := pfbuffer.RowID{Bank: p.req.Bank, Row: p.req.Row}
@@ -692,6 +745,7 @@ func (c *Controller) takeWrite(b int) (pending, bool) {
 	p := c.writeQ[idx]
 	c.writeQ = append(c.writeQ[:idx], c.writeQ[idx+1:]...)
 	c.writeCount[b]--
+	c.noteWork(b)
 	return p, true
 }
 
@@ -722,6 +776,7 @@ func (c *Controller) takeFetch(b int) (prefetch.Fetch, bool) {
 		if f.Bank == b {
 			c.fetchQ = append(c.fetchQ[:i], c.fetchQ[i+1:]...)
 			c.fetchCount[b]--
+			c.noteWork(b)
 			return f, true
 		}
 	}
@@ -734,6 +789,7 @@ func (c *Controller) takeStore(b int) (pfbuffer.RowID, bool) {
 		if id.Bank == b {
 			c.storeQ = append(c.storeQ[:i], c.storeQ[i+1:]...)
 			c.storeCount[b]--
+			c.noteWork(b)
 			return id, true
 		}
 	}
@@ -1035,6 +1091,7 @@ func (c *Controller) runRefresh(b int, now sim.Time) {
 		c.lastRefNear[b] = window{start: now, end: done}
 	}
 	c.nextRefresh[b] += c.timing.REFI
+	c.refreshMin = c.minRefresh()
 	// The bank's next deadline is covered by armRefreshWake when this
 	// schedule() pass ends. Daemon: refresh self-sustains forever; queued
 	// demand is woken by the scheduler's explicit retry instead.
@@ -1051,6 +1108,7 @@ func (c *Controller) onEviction(ev pfbuffer.Eviction) {
 	if ev.Dirty || !c.cfg.PFBuffer.WritebackDirtyOnly {
 		c.storeQ = append(c.storeQ, ev.ID)
 		c.storeCount[ev.ID.Bank]++
+		c.noteWork(ev.ID.Bank)
 		c.schedule()
 	}
 }
@@ -1118,8 +1176,32 @@ func (c *Controller) CheckInvariant() error {
 			return fmt.Errorf("vault %d bank %d: work counts (r=%d w=%d s=%d f=%d) disagree with queues (r=%d w=%d s=%d f=%d)",
 				c.id, b, c.readCount[b], c.writeCount[b], c.storeCount[b], c.fetchCount[b], nr, nw, ns, nf)
 		}
+		if b >= 64 {
+			continue // past the mask; such vaults always scan every bank
+		}
+		// A clear bit would make schedule() skip the bank's queued work.
+		if bit := c.workMask&(1<<uint(b)) != 0; bit != (nr+nw+ns+nf > 0) {
+			return fmt.Errorf("vault %d bank %d: work mask bit %v disagrees with %d queued jobs",
+				c.id, b, bit, nr+nw+ns+nf)
+		}
+	}
+	if len(c.banks) < 64 && c.workMask>>uint(len(c.banks)) != 0 {
+		return fmt.Errorf("vault %d: work mask %#x names banks past %d", c.id, c.workMask, len(c.banks))
+	}
+	// A stale minimum would let schedule() skip a due refresh.
+	if m := c.minRefresh(); m != c.refreshMin {
+		return fmt.Errorf("vault %d: cached refresh minimum %d, deadlines give %d", c.id, c.refreshMin, m)
 	}
 	return nil
+}
+
+// minRefresh returns the earliest per-bank refresh deadline.
+func (c *Controller) minRefresh() sim.Time {
+	m := c.nextRefresh[0]
+	for _, t := range c.nextRefresh[1:] {
+		m = minTime(m, t)
+	}
+	return m
 }
 
 // PendingWork reports whether the controller still has queued demand,
