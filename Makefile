@@ -11,7 +11,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: build vet fmt-check test race orchestration observability serve serve-smoke lint lint-tools fuzz-smoke fault-smoke verify bench bench-json bench-check figures clean
+.PHONY: build vet fmt-check test race orchestration observability serve serve-smoke lint lint-tools fuzz-smoke fault-smoke perfbench-check verify bench bench-json bench-check figures clean
 
 build:
 	$(GO) build ./...
@@ -100,7 +100,13 @@ fault-smoke:
 		-faults 'linkcrc=1e-3,stall=1e-4,poison=2e-3,bankfail=100us,bankfor=2us' \
 		-check -timeout 10s >/dev/null
 
-verify: build vet fmt-check race orchestration observability serve lint fault-smoke serve-smoke
+# perfbench is its own module (camps/perfbench, `replace camps => ../`),
+# so the root ./... patterns skip it. Vet and test it here so an API
+# change in exp, harness or obs cannot silently break the benchmark.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+verify: build vet fmt-check race orchestration observability serve lint fault-smoke serve-smoke perfbench-check
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...

@@ -126,11 +126,10 @@ type Options struct {
 	// violation fails the cell with an error matching camps.ErrInvariant
 	// (deterministic, so it is never retried).
 	CheckInvariants bool
-	// Parallelism is the worker count (default NumCPU).
+	// Parallelism is the worker count (default NumCPU). The cell queue
+	// feeding the workers holds queuePerWorker cells per worker, so
+	// enormous campaigns do not buffer every cell.
 	Parallelism int
-	// QueueDepth bounds the cell queue feeding the workers (default
-	// 2×Parallelism), so enormous campaigns do not buffer every cell.
-	QueueDepth int
 	// CellTimeout is the wall-clock budget of one attempt (0 = none). An
 	// attempt that exceeds it is cancelled mid-simulation and counts as a
 	// transient failure.
@@ -196,12 +195,14 @@ type Gate interface {
 	Release()
 }
 
+// queuePerWorker is how many pending cells the scheduler buffers per
+// worker: enough that a worker finishing a cell finds the next one
+// queued, few enough that the queue never holds a whole campaign.
+const queuePerWorker = 2
+
 func (o *Options) applyDefaults() {
 	if o.Parallelism <= 0 {
 		o.Parallelism = runtime.NumCPU()
-	}
-	if o.QueueDepth <= 0 {
-		o.QueueDepth = 2 * o.Parallelism
 	}
 	if o.Backoff <= 0 {
 		o.Backoff = 100 * time.Millisecond
@@ -308,7 +309,7 @@ func Run(ctx context.Context, cells []Cell, opts Options) ([]CellResult, Stats, 
 		mu.Unlock()
 	}
 
-	queue := make(chan int, opts.QueueDepth)
+	queue := make(chan int, queuePerWorker*opts.Parallelism)
 	if opts.Obs != nil {
 		// Queue depth is the scheduler's backpressure signal: a full queue
 		// means the enumerator is ahead of the workers.

@@ -18,7 +18,7 @@ func TestCallGraphEngineDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sums := Summarize(prog, nil)
+	sums := Summarize(prog)
 	g := BuildCallGraph(prog, sums)
 
 	const method = "camps/internal/prefetch.(Engine).OnDemandServed"
@@ -60,7 +60,7 @@ func TestCallGraphEngineDispatch(t *testing.T) {
 // callees are not followed.
 func TestReachableStopPrunesButReaches(t *testing.T) {
 	prog := loadTestProgram(t, filepath.Join("testdata", "prog", "globalmut", "src"))
-	sums := Summarize(prog, nil)
+	sums := Summarize(prog)
 	g := BuildCallGraph(prog, sums)
 
 	entries := []string{"camps/internal/sim.Run", "camps/internal/vault.(Controller).Submit"}

@@ -1,93 +1,21 @@
 package lint
 
 import (
-	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 )
 
-func TestFactCacheRoundTrip(t *testing.T) {
-	root := filepath.Join("testdata", "prog", "detflow", "src")
-	prog := loadTestProgram(t, root)
-	cache := OpenFactCache(t.TempDir())
-	if !cache.Enabled() {
-		t.Fatal("cache should be enabled")
-	}
-
-	s1 := Summarize(prog, cache)
-	if s1.Misses != len(prog.Pkgs) || s1.Hits != 0 {
-		t.Fatalf("cold cache: hits=%d misses=%d, want 0/%d", s1.Hits, s1.Misses, len(prog.Pkgs))
-	}
-	s2 := Summarize(prog, cache)
-	if s2.Hits != len(prog.Pkgs) || s2.Misses != 0 {
-		t.Fatalf("warm cache: hits=%d misses=%d, want %d/0", s2.Hits, s2.Misses, len(prog.Pkgs))
+// TestSummarizeDeterministic: the facts of a program are a pure function
+// of its sources, so two Summarize runs over the same program agree.
+func TestSummarizeDeterministic(t *testing.T) {
+	prog := loadTestProgram(t, filepath.Join("testdata", "prog", "detflow", "src"))
+	s1 := Summarize(prog)
+	s2 := Summarize(prog)
+	if len(s1.ByPkg) != len(prog.Pkgs) {
+		t.Fatalf("summarized %d packages, want %d", len(s1.ByPkg), len(prog.Pkgs))
 	}
 	if !reflect.DeepEqual(s1.ByPkg, s2.ByPkg) {
-		t.Error("cached summaries differ from freshly computed ones")
-	}
-}
-
-// TestFactCacheInvalidation pins the content-addressed key scheme: a
-// package's key folds in its own sources and — transitively — its
-// module dependencies', so a change anywhere in the closure invalidates
-// every dependent.
-func TestFactCacheInvalidation(t *testing.T) {
-	prog := loadTestProgram(t, filepath.Join("testdata", "prog", "detflow", "src"))
-	base := summaryKeys(prog)
-	util := prog.ByPath["camps/internal/util"]
-	vault := prog.ByPath["camps/internal/vault"]
-	if util == nil || vault == nil {
-		t.Fatal("test program missing util or vault")
-	}
-
-	origUtil, origVault := util.SrcHash, vault.SrcHash
-	util.SrcHash = "changed"
-	keys := summaryKeys(prog)
-	if keys[util.Path] == base[util.Path] {
-		t.Error("changing a package's sources must change its key")
-	}
-	if keys[vault.Path] == base[vault.Path] {
-		t.Error("changing a dependency's sources must change the dependent's key")
-	}
-	util.SrcHash = origUtil
-
-	vault.SrcHash = "changed"
-	keys = summaryKeys(prog)
-	if keys[util.Path] != base[util.Path] {
-		t.Error("changing a dependent must not change the dependency's key")
-	}
-	if keys[vault.Path] == base[vault.Path] {
-		t.Error("changing a package's own sources must change its key")
-	}
-	vault.SrcHash = origVault
-
-	if keys := summaryKeys(prog); !reflect.DeepEqual(keys, base) {
-		t.Error("keys must be a pure function of the program's hashes")
-	}
-}
-
-func TestFactCacheDegradesToMiss(t *testing.T) {
-	dir := t.TempDir()
-	cache := OpenFactCache(dir)
-	if err := os.WriteFile(filepath.Join(dir, "bad.json"), []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if cache.Load("bad") != nil {
-		t.Error("corrupt entry must load as a miss, not an error")
-	}
-	if cache.Load("absent") != nil {
-		t.Error("absent entry must load as a miss")
-	}
-
-	off := OpenFactCache("")
-	if off.Enabled() {
-		t.Error("empty dir must disable the cache")
-	}
-	if err := off.Store("key", &PackageSummary{Package: "p"}); err != nil {
-		t.Errorf("disabled store should be a no-op, got %v", err)
-	}
-	if off.Load("key") != nil {
-		t.Error("disabled cache must always miss")
+		t.Error("two Summarize runs over the same program differ")
 	}
 }

@@ -98,7 +98,7 @@ type ProgramPass struct {
 }
 
 // Report records a finding at an already-resolved position (facts carry
-// token.Position, not token.Pos — they survive serialization).
+// token.Position, not token.Pos).
 func (p *ProgramPass) Report(pos token.Position, format string, args ...any) {
 	p.diags = append(p.diags, Diagnostic{
 		Pos:      pos,

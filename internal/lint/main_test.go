@@ -150,7 +150,7 @@ func TestMainTiming(t *testing.T) {
 		"go.mod":   "module scratch\n\ngo 1.22\n",
 		"pkg/a.go": "package pkg\n\nfunc F() int { return 1 }\n",
 	})
-	code, _, stderr := runMain("-C", dir, "-timing", "-fact-cache", "off", "./...")
+	code, _, stderr := runMain("-C", dir, "-timing", "./...")
 	if code != ExitClean {
 		t.Fatalf("-timing run: exit = %d, stderr = %s", code, stderr)
 	}

@@ -9,13 +9,12 @@ import (
 )
 
 // The facts layer: each package under analysis is distilled into one
-// serializable PackageSummary — per-function call edges, package-level
-// writes, and nondeterminism sources, each with a resolved source
-// position. The whole-program analyzers (globalmut, detflow) run entirely over these summaries joined by the
-// call graph, so a package whose sources (and dependency closure) are
-// unchanged can reuse its cached summary (see facts.go) without
-// re-walking its syntax trees, and diagnostics in dependency packages
-// can be reconstructed without their ASTs.
+// PackageSummary — per-function call edges, package-level writes, and
+// nondeterminism sources, each with a resolved source position. The
+// whole-program analyzers (globalmut, detflow) run entirely over these
+// summaries joined by the call graph, never over syntax trees, so a
+// finding in a dependency package is reported at the position its
+// summary recorded.
 //
 // Symbols name functions and variables as stable strings:
 //
@@ -32,49 +31,49 @@ import (
 
 // PackageSummary is one package's exported facts.
 type PackageSummary struct {
-	Package string        `json:"package"`
-	Funcs   []FuncSummary `json:"funcs"`
+	Package string
+	Funcs   []FuncSummary
 }
 
 // FuncSummary is the facts of one function (function literals fold into
 // their enclosing declaration).
 type FuncSummary struct {
-	Sym      string         `json:"sym"`
-	Pkg      string         `json:"pkg"`
-	Pos      token.Position `json:"pos"`
-	Exported bool           `json:"exported,omitempty"`
-	IsInit   bool           `json:"is_init,omitempty"`
+	Sym      string
+	Pkg      string
+	Pos      token.Position
+	Exported bool
+	IsInit   bool
 
-	Calls   []CallSite     `json:"calls,omitempty"`
-	Writes  []GlobalWrite  `json:"writes,omitempty"`
-	Sources []NondetSource `json:"sources,omitempty"`
+	Calls   []CallSite
+	Writes  []GlobalWrite
+	Sources []NondetSource
 }
 
 // CallSite is one statically resolved call edge.
 type CallSite struct {
 	// Callee is the called function's symbol; for Iface calls it is the
 	// interface method, resolved to implementations by the call graph.
-	Callee string         `json:"callee"`
-	Iface  bool           `json:"iface,omitempty"`
-	Pos    token.Position `json:"pos"`
+	Callee string
+	Iface  bool
+	Pos    token.Position
 }
 
 // GlobalWrite is one write whose destination roots at a package-level
 // variable (an assignment, ++/--, or delete on it or anything reached
 // through its fields/elements).
 type GlobalWrite struct {
-	Target string         `json:"target"`
-	Op     string         `json:"op"`
-	Pos    token.Position `json:"pos"`
+	Target string
+	Op     string
+	Pos    token.Position
 }
 
 // NondetSource is one direct nondeterminism source: a wall-clock read,
 // a global-RNG call, map-iteration order escaping through a return
 // without a sort, or a goroutine-ordering-dependent select.
 type NondetSource struct {
-	Kind   string         `json:"kind"` // "wallclock" | "globalrand" | "maporder" | "goroutine-order"
-	Detail string         `json:"detail"`
-	Pos    token.Position `json:"pos"`
+	Kind   string // "wallclock" | "globalrand" | "maporder" | "goroutine-order"
+	Detail string
+	Pos    token.Position
 }
 
 // funcSym returns fn's stable symbol. The empty string means the
