@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestClockConversions(t *testing.T) {
@@ -710,57 +711,41 @@ func TestRunUntilPastDeadlineIsNoop(t *testing.T) {
 	}
 }
 
-// Same-instant events must fire in scheduling-time order before
-// falling back to sequence order: on one engine that is identical to
-// pure FIFO (the clock never runs backwards while scheduling).
+// Same-instant events fire in scheduling order: an event scheduled at an
+// earlier engine time fires first, and two events scheduled at the same
+// engine time for the same target time fire FIFO. The second case is the
+// collision two vaults meet when both schedule at one instant for the
+// same target time.
 func TestSameInstantOrderBySchedThenSeq(t *testing.T) {
 	eng := NewEngine()
 	var order []string
-	eng.At(20, func() { order = append(order, "sched0-a") }) // scheduled at t=0
+	log := func(s string) func() { return func() { order = append(order, s) } }
+	eng.At(20, log("sched0-a")) // scheduled at t=0
 	eng.At(10, func() {
-		eng.At(20, func() { order = append(order, "sched10") })
+		eng.At(20, log("sched10"))
 	})
-	eng.At(20, func() { order = append(order, "sched0-b") })
+	eng.At(20, log("sched0-b"))
+	// At t=30, two children for t=40, then a third scheduled from the
+	// first of them: all fire in the order they were scheduled.
+	eng.At(30, func() {
+		eng.At(40, func() {
+			order = append(order, "same30-a")
+			eng.At(40, log("same40"))
+		})
+		eng.At(40, log("same30-b"))
+	})
 	eng.Run()
-	want := "sched0-a,sched0-b,sched10"
+	want := "sched0-a,sched0-b,sched10,same30-a,same30-b,same40"
 	if got := strings.Join(order, ","); got != want {
 		t.Fatalf("same-instant order = %s, want %s", got, want)
 	}
 }
 
-// Same-instant events with equal (when, sched) fire in tag order, not in
-// the order they were scheduled, and an event scheduled from inside a
-// tagged event inherits that tag. The committed goldens encode this
-// order: it is how two vaults' same-instant events are ordered.
-func TestSameInstantOrderByTag(t *testing.T) {
-	eng := NewEngine()
-	var order []string
-	log := func(s string) func() { return func() { order = append(order, s) } }
-
-	// All scheduled at t=0 for t=10, in seq order 3, 1, 2, untagged.
-	eng.AtTag(10, 3, log("tag3"))
-	eng.AtTag(10, 1, log("tag1"))
-	eng.WithTag(2, func() { eng.At(10, log("tag2")) })
-	eng.At(10, log("tag0"))
-
-	// A tag-7 event at t=20 schedules children for t=30 (all sched=20).
-	eng.AtTag(20, 7, func() {
-		eng.At(30, log("inherit7"))        // inherits 7
-		eng.AtTag(30, 2, log("explicit2")) // later seq, lower tag: fires first
-		eng.WithTag(1, func() {
-			eng.At(30, func() {
-				order = append(order, "with1")
-				eng.At(40, log("grand1")) // inherits 1 two hops down
-			})
-		})
-		eng.At(30, func() { // WithTag restored the parent's 7
-			order = append(order, "restored7")
-			eng.AtTag(40, 0, log("grand0")) // later seq, lower tag than grand1
-		})
-	})
-	eng.Run()
-	want := "tag0,tag1,tag2,tag3,with1,explicit2,inherit7,restored7,grand0,grand1"
-	if got := strings.Join(order, ","); got != want {
-		t.Fatalf("same-instant order = %s, want %s", got, want)
+// The event node fills exactly one 64-byte cache line. A field that grows
+// it has to pay for a second line on every heap sift, so this test makes
+// such a change explicit.
+func TestEventNodeIsOneCacheLine(t *testing.T) {
+	if got := unsafe.Sizeof(eventNode{}); got != 64 {
+		t.Fatalf("unsafe.Sizeof(eventNode{}) = %d bytes, want 64", got)
 	}
 }

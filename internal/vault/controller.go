@@ -78,7 +78,7 @@ type Controller struct {
 
 	// Hot-path callbacks and scratch space, allocated once per controller.
 	scheduleFn func()
-	retryFn    func()
+	wakeFn     func()
 	fillFn     func(uint64)
 	// fetchBuf receives each trigger's directives from the engine, which
 	// appends to it and never retains it, so one buffer serves every
@@ -118,8 +118,11 @@ type Controller struct {
 	lines     int
 	maxFetchQ int
 
-	retryArmed bool
-	retryAt    sim.Time
+	// wakes counts the vault's pending ordinary (non-daemon) wakes: bank
+	// releases of started jobs, plus the retry schedule() arms when queued
+	// work waits only on daemon releases. While work is queued, wakes > 0
+	// keeps a drained run (sim.Engine.Run) alive until the work is served.
+	wakes int
 
 	// Activation-rate limits shared by the vault's banks: tRRD between
 	// consecutive ACTs and tFAW over any four (power-delivery limits).
@@ -167,19 +170,6 @@ type pendingFill struct {
 	at      sim.Time
 }
 
-// Event-order tags (sim.Engine.WithTag). Every event stream rooted in a
-// vault carries one of two tags derived from the vault id: requests
-// entering the vault (and everything they cause — bank operations,
-// completion trampolines, the response path) carry TagSubmit, while the
-// vault's self-driven stream (the refresh daemon and what it causes)
-// carries TagInternal. The tags make same-instant scheduling collisions
-// between different vaults — routine, since vaults are deliberately
-// symmetric — order by vault rather than by an engine-local sequence
-// counter (see the event key in internal/sim). The committed goldens
-// encode this order. Tag 0 is everything outside the vaults.
-func TagSubmit(id int) int32   { return int32(2*id + 1) }
-func TagInternal(id int) int32 { return int32(2*id + 2) }
-
 // New returns a vault controller for vault id using the given prefetch
 // scheme. All controllers of a cube share one simulation engine.
 func New(eng *sim.Engine, cfg config.Config, scheme prefetch.Scheme, id int) *Controller {
@@ -206,8 +196,8 @@ func New(eng *sim.Engine, cfg config.Config, scheme prefetch.Scheme, id int) *Co
 	}
 	c.scheduleFn = c.schedule
 	c.fillFn = c.landFill
-	c.retryFn = func() {
-		c.retryArmed = false
+	c.wakeFn = func() {
+		c.wakes--
 		c.schedule()
 	}
 	if cfg.HMC.TSVGBps > 0 {
@@ -231,9 +221,7 @@ func New(eng *sim.Engine, cfg config.Config, scheme prefetch.Scheme, id int) *Co
 	// of the staggered initial deadlines.
 	c.refreshMin = c.nextRefresh[0]
 	c.refreshWakeAt = c.refreshMin
-	eng.WithTag(TagInternal(id), func() {
-		c.eng.AtDaemon(c.refreshWakeAt, c.scheduleFn)
-	})
+	eng.AtDaemon(c.refreshWakeAt, c.scheduleFn)
 	c.pf = prefetch.New(scheme, cfg, prefetch.Context{
 		Banks:       nbanks,
 		LinesPerRow: c.lines,
@@ -563,12 +551,13 @@ func (c *Controller) updateDrainMode() {
 	}
 }
 
-// schedule starts jobs on every idle bank that has work. If demand work
-// remains queued behind busy banks it arms a retry at the earliest bank
-// release: bank-release events from demand jobs are ordinary events, but
-// refresh completions are daemon events (refresh re-arms itself forever
-// and must not keep the simulation alive), so queued work cannot rely on
-// them for a wake-up.
+// schedule starts jobs on every idle bank that has work. Every started job
+// wakes the vault at its bank release (see wake), so queued work behind a
+// busy bank is re-dispatched then. Refresh completions and blackout
+// releases are daemon events instead (refresh re-arms itself forever and
+// must not keep the simulation alive): when demand work is queued and no
+// ordinary wake is pending, it waits only on those, and schedule arms one
+// ordinary retry wake at the earliest bank release.
 //
 // Banks are visited in index order. Unless a refresh is due or scanAll is
 // set, only banks in workMask are visited: every other idle bank would be a
@@ -595,7 +584,7 @@ func (c *Controller) schedule() {
 		}
 	}
 	c.armRefreshWake(now)
-	if !c.PendingWork() {
+	if c.wakes > 0 || !c.PendingWork() {
 		return
 	}
 	earliest := sim.Time(math.MaxInt64)
@@ -605,14 +594,16 @@ func (c *Controller) schedule() {
 		}
 	}
 	if earliest == math.MaxInt64 {
-		return // work exists but targets idle banks: a job just started will wake us
+		return // every bank idle with work queued: a dispatch pass never leaves that; CheckInvariant reports it
 	}
-	if c.retryArmed && c.retryAt <= earliest {
-		return
-	}
-	c.retryArmed = true
-	c.retryAt = earliest
-	c.eng.At(earliest, c.retryFn)
+	c.wake(earliest)
+}
+
+// wake schedules an ordinary schedule() pass at t and counts it in wakes
+// until it fires.
+func (c *Controller) wake(t sim.Time) {
+	c.wakes++
+	c.eng.At(t, c.wakeFn)
 }
 
 // armRefreshWake keeps exactly one daemon wake pending at the earliest
@@ -648,10 +639,10 @@ func (c *Controller) armRefreshWake(now sim.Time) {
 // Priority: refresh (mandatory), drained writes, demand reads, dirty row
 // stores, prefetch fetches, opportunistic writes.
 func (c *Controller) startJob(b int, now sim.Time) {
-	// An injected blackout makes the bank unavailable for the window. The
-	// busy-release retry re-dispatches queued demand when the window
-	// closes; the daemon wake covers work the retry path does not watch
-	// (refresh, fetch hints) without extending an otherwise-drained run.
+	// An injected blackout makes the bank unavailable for the window. Its
+	// release is a daemon wake, so it re-dispatches the bank's work
+	// (refresh, fetch hints) without extending an otherwise-drained run;
+	// queued demand is also covered by an ordinary wake (see schedule).
 	if until := c.faults.BankBlockedUntil(b, now); until > 0 {
 		if c.lastBlkNear != nil && until != c.lastBlkNear[b].end {
 			// First dispatch attempt inside a new window: record it so
@@ -871,7 +862,7 @@ func (c *Controller) runRead(b int, now sim.Time, p pending) {
 		state, displaced)
 	c.dispatchFetches(b, p.req.Row, c.fetchBuf)
 	c.autoPrecharge(b, p.req.Row)
-	c.eng.At(c.busy[b], c.scheduleFn)
+	c.wake(c.busy[b])
 }
 
 // autoPrecharge closes the row after a demand access under the closed-page
@@ -916,7 +907,7 @@ func (c *Controller) runWrite(b int, now sim.Time, p pending) {
 		state, displaced)
 	c.dispatchFetches(b, p.req.Row, c.fetchBuf)
 	c.autoPrecharge(b, p.req.Row)
-	c.eng.At(c.busy[b], c.scheduleFn)
+	c.wake(c.busy[b])
 }
 
 // dispatchFetches routes a demand-triggered fetch of the *currently open
@@ -988,7 +979,7 @@ func (c *Controller) runFetch(b int, now sim.Time, f prefetch.Fetch) bool {
 	}
 	c.emit(obs.EvPrefetchIssue, start, b, f.Row, 0)
 	c.scheduleFill(id, f.Touched, end)
-	c.eng.At(release, c.scheduleFn)
+	c.wake(release)
 	return true
 }
 
@@ -1073,7 +1064,7 @@ func (c *Controller) runStore(b int, now sim.Time, id pfbuffer.RowID) {
 	c.busy[b] = release
 	c.stats.RowWritebacks.Inc()
 	c.emit(obs.EvRowWriteback, start, b, id.Row, 0)
-	c.eng.At(release, c.scheduleFn)
+	c.wake(release)
 }
 
 // runRefresh performs one per-bank refresh (precharging first if needed).
@@ -1093,8 +1084,9 @@ func (c *Controller) runRefresh(b int, now sim.Time) {
 	c.nextRefresh[b] += c.timing.REFI
 	c.refreshMin = c.minRefresh()
 	// The bank's next deadline is covered by armRefreshWake when this
-	// schedule() pass ends. Daemon: refresh self-sustains forever; queued
-	// demand is woken by the scheduler's explicit retry instead.
+	// schedule() pass ends. Daemon: refresh self-sustains forever, so it
+	// does not count in wakes; schedule() arms an ordinary wake for queued
+	// demand that would otherwise wait only on this release.
 	c.eng.AtDaemon(done, c.scheduleFn)
 }
 
@@ -1191,6 +1183,11 @@ func (c *Controller) CheckInvariant() error {
 	// A stale minimum would let schedule() skip a due refresh.
 	if m := c.minRefresh(); m != c.refreshMin {
 		return fmt.Errorf("vault %d: cached refresh minimum %d, deadlines give %d", c.id, c.refreshMin, m)
+	}
+	// Queued work with no ordinary wake pending waits only on daemon
+	// events, which a drained run (sim.Engine.Run) does not wait for.
+	if c.wakes == 0 && c.PendingWork() {
+		return fmt.Errorf("vault %d: work queued with no pending wake", c.id)
 	}
 	return nil
 }

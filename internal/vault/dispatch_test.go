@@ -102,9 +102,9 @@ func TestWideVaultFallbackStress(t *testing.T) {
 	}
 }
 
-// TestCheckInvariantCatchesDispatchState corrupts the work mask and the
-// cached refresh minimum in turn and requires CheckInvariant to report
-// each.
+// TestCheckInvariantCatchesDispatchState corrupts the work mask, the
+// cached refresh minimum and the pending-wake count in turn and requires
+// CheckInvariant to report each.
 func TestCheckInvariantCatchesDispatchState(t *testing.T) {
 	eng, c := newVault(t, smallCfg(), prefetch.None)
 	// Two reads to one bank: the second stays queued behind the first.
@@ -122,14 +122,15 @@ func TestCheckInvariantCatchesDispatchState(t *testing.T) {
 		{"bit set on an empty bank", func() { c.workMask |= 1 << 7 }, "work mask bit true"},
 		{"bit past the last bank", func() { c.workMask |= 1 << 40 }, "names banks past"},
 		{"stale refresh minimum", func() { c.refreshMin++ }, "cached refresh minimum"},
+		{"queued work with no pending wake", func() { c.wakes = 0 }, "no pending wake"},
 	} {
-		mask, refMin := c.workMask, c.refreshMin
+		mask, refMin, wakes := c.workMask, c.refreshMin, c.wakes
 		tc.corrupt()
 		err := c.CheckInvariant()
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: CheckInvariant = %v, want an error containing %q", tc.name, err, tc.want)
 		}
-		c.workMask, c.refreshMin = mask, refMin
+		c.workMask, c.refreshMin, c.wakes = mask, refMin, wakes
 	}
 	eng.Run()
 	if err := c.CheckInvariant(); err != nil {
