@@ -22,9 +22,7 @@ package camps
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"io"
 
 	"camps/internal/cache"
 	"camps/internal/config"
@@ -160,6 +158,12 @@ type RunConfig struct {
 	// invariants are validated, and a violation halts the run with an
 	// error matching ErrInvariant instead of producing corrupt results.
 	CheckInvariants bool
+	// Warm, when non-nil, is the warm state the run starts from in place
+	// of running its own warmup (see Warmup). The run consumes it. It must
+	// have been warmed for this config's WarmKey, and Readers must be nil;
+	// otherwise, or when it was already consumed, the run fails with
+	// ErrInvalidConfig.
+	Warm *Warm
 }
 
 // FaultSpec re-exports the fault-injection spec for RunConfig.Faults.
@@ -195,6 +199,22 @@ func (rc *RunConfig) applyDefaults() {
 	if rc.Obs != nil && rc.EpochInterval <= 0 {
 		rc.EpochInterval = 5 * sim.Microsecond
 	}
+}
+
+// prepare applies rc's defaults and validates everything a run reads
+// before it starts.
+func (rc *RunConfig) prepare() error {
+	rc.applyDefaults()
+	if err := rc.System.Validate(); err != nil {
+		return &apiError{msg: "camps: " + err.Error(), refs: []error{ErrInvalidConfig, err}}
+	}
+	if err := prefetch.ValidateConfig(rc.System); err != nil {
+		return &apiError{msg: "camps: " + err.Error(), refs: []error{ErrInvalidConfig, err}}
+	}
+	if err := rc.Faults.Validate(); err != nil {
+		return fmt.Errorf("camps: %w", err) // matches ErrBadFaultSpec
+	}
+	return nil
 }
 
 // Results carries every metric the paper's figures use.
@@ -321,40 +341,37 @@ func RunContext(ctx context.Context, rc RunConfig) (Results, error) {
 	if err := ctx.Err(); err != nil {
 		return Results{}, fmt.Errorf("camps: run cancelled before start: %w", err)
 	}
-	rc.applyDefaults()
-	if err := rc.System.Validate(); err != nil {
-		return Results{}, &apiError{msg: "camps: " + err.Error(), refs: []error{ErrInvalidConfig, err}}
+	if err := rc.prepare(); err != nil {
+		return Results{}, err
 	}
-	if err := prefetch.ValidateConfig(rc.System); err != nil {
-		return Results{}, &apiError{msg: "camps: " + err.Error(), refs: []error{ErrInvalidConfig, err}}
-	}
-	if err := rc.Faults.Validate(); err != nil {
-		return Results{}, fmt.Errorf("camps: %w", err) // matches ErrBadFaultSpec
-	}
-
 	cores := rc.System.Processor.Cores
-	readers := rc.Readers
-	if readers == nil {
-		if len(rc.Mix.Benchmarks) != cores {
+	var (
+		hier    *cache.Hierarchy
+		readers []trace.Reader
+	)
+	switch {
+	case rc.Warm != nil:
+		if err := rc.Warm.claim(rc); err != nil {
+			return Results{}, err
+		}
+		hier, readers = rc.Warm.hier, rc.Warm.readers()
+	case rc.Readers != nil:
+		if len(rc.Readers) != cores {
 			return Results{}, &apiError{
-				msg: fmt.Sprintf("camps: mix %q has %d benchmarks, system has %d cores",
-					rc.Mix.ID, len(rc.Mix.Benchmarks), cores),
+				msg:  fmt.Sprintf("camps: %d readers for %d cores", len(rc.Readers), cores),
 				refs: []error{ErrMixCoreMismatch},
 			}
 		}
-		gens, err := rc.Mix.Generators(rc.Seed)
+		hier, readers = cache.NewHierarchy(rc.System), rc.Readers
+		if err := warmCaches(ctx, hier, readers, rc.WarmupRefs); err != nil {
+			return Results{}, err
+		}
+	default:
+		w, err := warmup(ctx, rc)
 		if err != nil {
 			return Results{}, err
 		}
-		readers = make([]trace.Reader, len(gens))
-		for i, g := range gens {
-			readers[i] = g
-		}
-	} else if len(readers) != cores {
-		return Results{}, &apiError{
-			msg:  fmt.Sprintf("camps: %d readers for %d cores", len(readers), cores),
-			refs: []error{ErrMixCoreMismatch},
-		}
+		hier, readers = w.hier, w.readers()
 	}
 
 	eng := sim.NewEngine()
@@ -376,7 +393,6 @@ func RunContext(ctx context.Context, rc RunConfig) (Results, error) {
 		chk = sim.NewChecker(eng, interval)
 		chk.Register(cube.Invariants()...)
 	}
-	hier := cache.NewHierarchy(rc.System)
 	// The shared L3 MSHR file sits between the cores and the cube: it
 	// coalesces concurrent misses to one line and bounds distinct
 	// outstanding fetches.
@@ -393,25 +409,6 @@ func RunContext(ctx context.Context, rc RunConfig) (Results, error) {
 		}
 	}
 
-	// Functional cache warmup: consume WarmupRefs records per core through
-	// the hierarchy with no timing, discarding memory traffic.
-	for core := 0; core < cores; core++ {
-		if err := ctx.Err(); err != nil {
-			return Results{}, fmt.Errorf("camps: run cancelled during warmup: %w", err)
-		}
-		for i := uint64(0); i < rc.WarmupRefs; i++ {
-			rec, err := readers[core].Next()
-			if errors.Is(err, io.EOF) {
-				break // finite reader exhausted: measured region sees EOF
-			}
-			if err != nil {
-				// A malformed or truncated trace must fail the run, not
-				// silently shrink the warmup.
-				return Results{}, fmt.Errorf("camps: core %d warmup trace: %w", core, err)
-			}
-			hier.Access(core, rec.Addr, rec.Write)
-		}
-	}
 	l3Base := make([]uint64, cores)
 	for core := 0; core < cores; core++ {
 		l3Base[core] = hier.L3Misses(core)

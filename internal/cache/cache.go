@@ -9,6 +9,14 @@
 // when a set evicts, all its ways are valid and "evict the smallest stamp"
 // picks the same victim as a full recency ranking.
 //
+// Tags are stored split: the low 32 bits of every line's tag in one array,
+// the high 32 bits in a second array that is allocated only when the first
+// tag needing them is installed. Until then every resident tag's high half
+// is zero, so a probe whose tag has high bits set is a certain miss; the
+// layout is exact for any 64-bit address while costing 6 bytes per line
+// (tag half, state, stamp) on the narrow addresses every synthetic
+// workload generates.
+//
 // The caches are functional models with timing metadata: an access
 // resolves, in zero simulated time, to the level that services it plus the
 // cumulative lookup latency; misses past L3 and dirty L3 evictions are the
@@ -18,6 +26,7 @@ package cache
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"camps/internal/config"
 	"camps/internal/obs"
@@ -31,7 +40,8 @@ type Level struct {
 	lineShift uint
 	setBits   uint // log2(sets): the line-address bits that select the set
 	setMask   uint64
-	tags      []uint64 // sets*ways
+	tags      []uint32 // sets*ways: the low 32 bits of each line's tag
+	tagsHi    []uint32 // the high 32 bits; nil until a tag needs them
 	state     []uint8  // bit0 valid, bit1 dirty
 	stamp     []uint8  // recency stamp per line; larger = more recent
 	clock     []uint8  // per set: the stamp of its most recent touch
@@ -73,7 +83,7 @@ func NewLevel(cfg config.CacheLevel) *Level {
 		lineShift: uint(bits.TrailingZeros64(uint64(cfg.LineBytes))),
 		setBits:   uint(bits.TrailingZeros64(uint64(sets))),
 		setMask:   uint64(sets - 1),
-		tags:      make([]uint64, n),
+		tags:      make([]uint32, n),
 		state:     make([]uint8, n),
 		stamp:     make([]uint8, n),
 		clock:     make([]uint8, sets),
@@ -101,47 +111,70 @@ func (l *Level) index(addr uint64) (set int, lineTag uint64) {
 	return int(line & l.setMask), line >> l.setBits
 }
 
+// find returns the index of tag's line in set, or -1 when it is not
+// resident. The high tag half is compared only on a low-half match.
+func (l *Level) find(set int, tag uint64) int {
+	lo, hi := uint32(tag), uint32(tag>>32)
+	if hi != 0 && l.tagsHi == nil {
+		return -1 // no resident tag has high bits
+	}
+	base := set * l.ways
+	for i := base; i < base+l.ways; i++ {
+		if l.state[i]&stValid == 0 {
+			break // the set's valid lines end here
+		}
+		if l.tags[i] == lo && l.hiTag(i) == hi {
+			return i
+		}
+	}
+	return -1
+}
+
+// hiTag returns the high half of line i's tag.
+func (l *Level) hiTag(i int) uint32 {
+	if l.tagsHi == nil {
+		return 0
+	}
+	return l.tagsHi[i]
+}
+
+// setTag stores tag as line i's tag, allocating the high halves on the
+// first tag that needs them.
+func (l *Level) setTag(i int, tag uint64) {
+	l.tags[i] = uint32(tag)
+	if hi := uint32(tag >> 32); hi != 0 && l.tagsHi == nil {
+		l.tagsHi = make([]uint32, len(l.tags))
+	}
+	if l.tagsHi != nil {
+		l.tagsHi[i] = uint32(tag >> 32)
+	}
+}
+
 // Lookup probes for addr; on a hit it refreshes LRU and, for writes, sets
 // the dirty bit.
 func (l *Level) Lookup(addr uint64, write bool) bool {
 	set, tag := l.index(addr)
-	base := set * l.ways
-	for w := 0; w < l.ways; w++ {
-		i := base + w
-		if l.state[i]&stValid == 0 {
-			break // the set's valid lines end here
-		}
-		if l.tags[i] == tag {
-			l.touch(set, w)
-			if write {
-				l.state[i] |= stDirty
-			}
-			if l.state[i]&stPref != 0 {
-				l.state[i] &^= stPref
-				l.prefUseful.Inc()
-			}
-			l.hits.Inc()
-			return true
-		}
+	i := l.find(set, tag)
+	if i < 0 {
+		l.misses.Inc()
+		return false
 	}
-	l.misses.Inc()
-	return false
+	l.touch(set, i)
+	if write {
+		l.state[i] |= stDirty
+	}
+	if l.state[i]&stPref != 0 {
+		l.state[i] &^= stPref
+		l.prefUseful.Inc()
+	}
+	l.hits.Inc()
+	return true
 }
 
 // Contains probes without disturbing LRU or statistics.
 func (l *Level) Contains(addr uint64) bool {
 	set, tag := l.index(addr)
-	base := set * l.ways
-	for w := 0; w < l.ways; w++ {
-		i := base + w
-		if l.state[i]&stValid == 0 {
-			return false
-		}
-		if l.tags[i] == tag {
-			return true
-		}
-	}
-	return false
+	return l.find(set, tag) >= 0
 }
 
 // Victim describes a line displaced by Install.
@@ -166,21 +199,21 @@ func (l *Level) InstallPrefetched(addr uint64) Victim {
 
 func (l *Level) install(addr uint64, dirty, prefetched bool) Victim {
 	set, tag := l.index(addr)
+	lo, hi := uint32(tag), uint32(tag>>32)
 	base := set * l.ways
 	// One pass over the valid prefix: the line itself if present, else the
 	// first free way, else the LRU (smallest-stamp) way. Stamps within a
 	// set are distinct, so the LRU way is unique.
-	way, lru := -1, base
-	for w := 0; w < l.ways; w++ {
-		i := base + w
+	free, lru := -1, base
+	for i := base; i < base+l.ways; i++ {
 		if l.state[i]&stValid == 0 {
-			way = w
+			free = i
 			break
 		}
-		if l.tags[i] == tag {
+		if l.tags[i] == lo && l.hiTag(i) == hi {
 			// Already present: refresh (a prefetch overlay never
 			// downgrades the line's state).
-			l.touch(set, w)
+			l.touch(set, i)
 			if dirty {
 				l.state[i] |= stDirty
 			}
@@ -191,11 +224,11 @@ func (l *Level) install(addr uint64, dirty, prefetched bool) Victim {
 		}
 	}
 	var victim Victim
-	if way < 0 {
-		way = lru - base
-		i := lru
+	i := free
+	if i < 0 {
+		i = lru
 		victim = Victim{
-			Addr:  l.reconstruct(set, l.tags[i]),
+			Addr:  l.reconstruct(set, uint64(l.tags[i])|uint64(l.hiTag(i))<<32),
 			Dirty: l.state[i]&stDirty != 0,
 			Valid: true,
 		}
@@ -204,8 +237,7 @@ func (l *Level) install(addr uint64, dirty, prefetched bool) Victim {
 			l.wbacks.Inc()
 		}
 	}
-	i := base + way
-	l.tags[i] = tag
+	l.setTag(i, tag)
 	l.state[i] = stValid
 	if dirty {
 		l.state[i] |= stDirty
@@ -213,7 +245,7 @@ func (l *Level) install(addr uint64, dirty, prefetched bool) Victim {
 	if prefetched {
 		l.state[i] |= stPref
 	}
-	l.touch(set, way)
+	l.touch(set, i)
 	return victim
 }
 
@@ -229,16 +261,16 @@ func (l *Level) reconstruct(set int, tag uint64) uint64 {
 	return line << l.lineShift
 }
 
-// touch makes way w of set the MRU entry by giving it the set's next
-// clock value.
-func (l *Level) touch(set, w int) {
+// touch makes line i, which lies in set, the set's MRU entry by giving
+// it the set's next clock value.
+func (l *Level) touch(set, i int) {
 	c := l.clock[set]
 	if c == 0xFF {
 		c = l.rerank(set)
 	}
 	c++
 	l.clock[set] = c
-	l.stamp[set*l.ways+w] = c
+	l.stamp[i] = c
 }
 
 // rerank compresses the set's valid stamps to 0..k-1 in recency order
@@ -267,18 +299,29 @@ func (l *Level) rerank(set int) uint8 {
 	return uint8(k - 1)
 }
 
+// clone returns a deep copy of the level: contents, recency state and
+// statistics.
+func (l *Level) clone() *Level {
+	c := *l
+	c.tags = slices.Clone(l.tags)
+	c.tagsHi = slices.Clone(l.tagsHi)
+	c.state = slices.Clone(l.state)
+	c.stamp = slices.Clone(l.stamp)
+	c.clock = slices.Clone(l.clock)
+	return &c
+}
+
 // Hierarchy is the full per-chip cache stack.
 type Hierarchy struct {
 	l1, l2 []*Level
 	l3     *Level
-	cfg    config.Config
 
 	l3MissPerCore []stats.Counter
 }
 
 // NewHierarchy builds the stack for cfg.Processor.Cores cores.
 func NewHierarchy(cfg config.Config) *Hierarchy {
-	h := &Hierarchy{cfg: cfg, l3: NewLevel(cfg.L3)}
+	h := &Hierarchy{l3: NewLevel(cfg.L3)}
 	h.l1 = make([]*Level, cfg.Processor.Cores)
 	h.l2 = make([]*Level, cfg.Processor.Cores)
 	h.l3MissPerCore = make([]stats.Counter, cfg.Processor.Cores)
@@ -287,6 +330,23 @@ func NewHierarchy(cfg config.Config) *Hierarchy {
 		h.l2[i] = NewLevel(cfg.L2)
 	}
 	return h
+}
+
+// Clone returns a deep copy of the hierarchy: every level's contents,
+// recency state and statistics, and the per-core L3 miss counts. The copy
+// shares nothing with h, so the two evolve independently.
+func (h *Hierarchy) Clone() *Hierarchy {
+	c := &Hierarchy{
+		l1:            make([]*Level, len(h.l1)),
+		l2:            make([]*Level, len(h.l2)),
+		l3:            h.l3.clone(),
+		l3MissPerCore: slices.Clone(h.l3MissPerCore),
+	}
+	for i := range h.l1 {
+		c.l1[i] = h.l1[i].clone()
+		c.l2[i] = h.l2[i].clone()
+	}
+	return c
 }
 
 // Instrument registers the hierarchy's hit/miss counters with the

@@ -183,6 +183,10 @@ type Options struct {
 	// ExecuteCell for the real simulation. Called from worker goroutines;
 	// must be safe for concurrent use.
 	RunCell func(ctx context.Context, c Cell, o *Options) (camps.Results, error)
+
+	// warm shares warm states between the cells of the Run in progress
+	// (nil outside Run: ExecuteCell then warms every cell itself).
+	warm *warmMemo
 }
 
 // Gate throttles cell execution across campaign boundaries; see
@@ -230,6 +234,9 @@ type Stats struct {
 	Failed uint64
 	// Resumed counts cells restored from the checkpoint store.
 	Resumed uint64
+	// Warmups counts the full cache warmups ExecuteCell ran. A cell that
+	// started from a copy of another cell's warm state does not count.
+	Warmups uint64
 }
 
 // ErrDuplicateCell reports two cells with the same Key in one campaign,
@@ -296,6 +303,7 @@ func Run(ctx context.Context, cells []Cell, opts Options) ([]CellResult, Stats, 
 		}
 		pending = append(pending, i)
 	}
+	opts.warm = newWarmMemo(cells, pending, &opts, &mu, &st)
 
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -350,6 +358,7 @@ func Run(ctx context.Context, cells []Cell, opts Options) ([]CellResult, Stats, 
 					}
 				}
 				res, attempt, dur, err := runWithRetry(runCtx, c, &opts, &st, &mu)
+				opts.warm.release(c.Key())
 				if opts.Gate != nil {
 					opts.Gate.Release()
 				}
@@ -473,8 +482,26 @@ func permanent(err error) bool {
 // ExecuteCell runs one cell's real simulation under the options' system,
 // fault, and observability settings — the default cell executor behind
 // Run, exported so RunCell overrides that merely wrap execution (result
-// caches, accounting shims) can fall back to the genuine article.
+// caches, accounting shims) can fall back to the genuine article. Inside
+// Run, cells with the same camps.WarmKey share one cache warmup: each
+// starts from its own copy of the warmed state, so results are identical
+// to warming every cell separately.
 func ExecuteCell(ctx context.Context, c Cell, o *Options) (camps.Results, error) {
+	rc := o.runConfig(c)
+	w, err := o.warm.take(ctx, c.Key(), rc)
+	if err != nil {
+		return camps.Results{}, err
+	}
+	rc.Warm = w
+	if o.CellObs != nil {
+		rc.Obs = o.CellObs(c)
+	}
+	return camps.RunContext(ctx, rc)
+}
+
+// runConfig is the run configuration of cell c under the options, without
+// observability or a warm state.
+func (o *Options) runConfig(c Cell) camps.RunConfig {
 	sys := o.System
 	if c.Apply != nil {
 		if sys.Processor.Cores == 0 {
@@ -482,11 +509,7 @@ func ExecuteCell(ctx context.Context, c Cell, o *Options) (camps.Results, error)
 		}
 		c.Apply(&sys)
 	}
-	var suite *obs.Suite
-	if o.CellObs != nil {
-		suite = o.CellObs(c)
-	}
-	return camps.RunContext(ctx, camps.RunConfig{
+	return camps.RunConfig{
 		System:          sys,
 		Scheme:          c.Scheme,
 		Mix:             c.Mix,
@@ -495,8 +518,7 @@ func ExecuteCell(ctx context.Context, c Cell, o *Options) (camps.Results, error)
 		MeasureInstr:    o.MeasureInstr,
 		Faults:          o.Faults,
 		CheckInvariants: o.CheckInvariants,
-		Obs:             suite,
-	})
+	}
 }
 
 // instrument exposes the campaign counters through an obs registry. The
@@ -516,4 +538,5 @@ func instrument(reg *obs.Registry, st *Stats, mu *sync.Mutex) {
 	reg.CounterFunc("exp.cells_cancelled", locked(&st.Cancelled))
 	reg.CounterFunc("exp.cells_failed", locked(&st.Failed))
 	reg.CounterFunc("exp.cells_resumed", locked(&st.Resumed))
+	reg.CounterFunc("exp.warmups", locked(&st.Warmups))
 }

@@ -2,9 +2,10 @@
 // × prefetching scheme) grid and reformats the measurements into the exact
 // rows and series of every figure in the CAMPS paper's Section 5 (Figures
 // 5 through 9). Cell execution is delegated to the experiment orchestrator
-// (internal/exp): each simulation owns its own event engine, so cells run
-// in parallel and share nothing, and campaigns gain cancellation,
-// timeouts, retries, and checkpoint/resume for free.
+// (internal/exp): each simulation owns its own event engine and its own
+// copy of the warmed caches, so cells run in parallel and share nothing
+// mutable, each mix is warmed once for all its schemes, and campaigns gain
+// cancellation, timeouts, retries, and checkpoint/resume for free.
 package harness
 
 import (

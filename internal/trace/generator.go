@@ -1,6 +1,9 @@
 package trace
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Profile parameterizes a synthetic benchmark's memory behaviour. The knobs
 // map onto the properties that drive the CAMPS mechanisms:
@@ -104,6 +107,18 @@ func MustGenerator(p Profile, base uint64, seed uint64) *Generator {
 		panic(err)
 	}
 	return g
+}
+
+// Clone returns an independent generator at the same position: both
+// produce the same records from here on, and advancing one leaves the
+// other untouched.
+func (g *Generator) Clone() *Generator {
+	c := *g
+	rng := *g.rng
+	c.rng = &rng
+	c.streams = slices.Clone(g.streams)
+	c.group = slices.Clone(g.group)
+	return &c
 }
 
 // Next implements Reader; it never fails.

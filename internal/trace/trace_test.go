@@ -202,6 +202,36 @@ func TestGeneratorDeterminism(t *testing.T) {
 	}
 }
 
+// TestGeneratorCloneIsIndependent clones a generator mid-stream (after
+// conflict-group resets) and requires the clone to continue exactly as the
+// original would, while advancing either leaves the other untouched.
+func TestGeneratorCloneIsIndependent(t *testing.T) {
+	p := testProfile()
+	p.FootprintBytes = 4 << 20 // small, so the conflict group resets often
+	g := MustGenerator(p, 0, 21)
+	for i := 0; i < 3000; i++ {
+		g.Next()
+	}
+	c := g.Clone()
+	ref := MustGenerator(p, 0, 21)
+	for i := 0; i < 3000; i++ {
+		ref.Next()
+	}
+	// Drain the original well ahead; the clone must not notice.
+	var ahead []Record
+	for i := 0; i < 5000; i++ {
+		rec, _ := g.Next()
+		ahead = append(ahead, rec)
+	}
+	for i := 0; i < 5000; i++ {
+		got, _ := c.Next()
+		want, _ := ref.Next()
+		if got != want || got != ahead[i] {
+			t.Fatalf("record %d after clone: clone %+v, reference %+v, original %+v", i, got, want, ahead[i])
+		}
+	}
+}
+
 func TestGeneratorAddressProperties(t *testing.T) {
 	p := testProfile()
 	base := uint64(1) << 30
